@@ -6,21 +6,44 @@
 //! on this test binary; the test warms a 300-node system until all scratch
 //! buffers, pools and hash maps have reached their high-water marks, then
 //! runs further periods with the counter armed.
+//!
+//! libtest runs tests on parallel threads, so a process-wide count would
+//! pick up one test's warm-up in another test's armed window.  Two rules
+//! keep the counts exact on any core count: every test holds the
+//! [`serial`] guard from warm-up to its last assertion, and the
+//! single-threaded tests count only their own thread's allocations.  Only
+//! the pool test reads the process-wide count (its workers allocate, if at
+//! all, on their own threads); the guard keeps every other test of the
+//! binary parked meanwhile.
 
 use fss_core::FastSwitchScheduler;
 use fss_gossip::{GossipConfig, StreamingSystem};
 use fss_overlay::OverlayBuilder;
 use fss_trace::{GeneratorConfig, TraceGenerator};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAllocator;
 
+/// Allocations on every thread of the process.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Allocations on the current thread alone (const-initialised and
+    /// drop-free, so the allocator can touch it without allocating).
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -37,12 +60,28 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Serialises the tests of this binary: hold the guard across warm-up and
+/// the armed window.  A test that failed (and poisoned the lock) must not
+/// fail the others, so poisoning is ignored.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
+}
+
+/// Allocations made so far by every thread (exact only under [`serial`]).
+#[cfg(feature = "parallel")]
+fn process_allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
 #[test]
 fn steady_state_period_loop_does_not_allocate() {
+    let _serial = serial();
     let trace = TraceGenerator::new(GeneratorConfig::sized(300, 21)).generate("zero-alloc");
     let overlay = OverlayBuilder::paper_default().build(&trace).unwrap();
     let source = overlay.active_peers().next().unwrap();
@@ -100,6 +139,7 @@ fn steady_state_period_loop_does_not_allocate() {
 /// never reused.
 #[test]
 fn steady_state_zap_batch_resolution_does_not_allocate() {
+    let _serial = serial();
     use fss_gossip::AdmissionPipeline;
     use fss_overlay::BandwidthConfig;
     use rand::rngs::SmallRng;
@@ -175,6 +215,7 @@ fn steady_state_zap_batch_resolution_does_not_allocate() {
 /// the heap zero times.
 #[test]
 fn sharded_steady_state_period_loop_does_not_allocate() {
+    let _serial = serial();
     let trace = TraceGenerator::new(GeneratorConfig::sized(300, 23)).generate("zero-alloc-shard");
     let overlay = OverlayBuilder::paper_default().build(&trace).unwrap();
     let source = overlay.active_peers().next().unwrap();
@@ -206,10 +247,10 @@ fn sharded_steady_state_period_loop_does_not_allocate() {
 
 /// The event-driven stepping mode keeps the guarantee: with a delayed,
 /// jittered network model installed, every in-flight message lives in the
-/// pre-reserved event queue (`NetMessage` is `Copy`, the heap was sized
-/// from the bandwidth budget and the latency horizon at `set_network`
-/// time) and the jitter draws are stateless hashes — so steady-state event
-/// periods still touch the heap zero times.
+/// pre-reserved in-flight store (messages are `Copy`; the store was sized
+/// from the bandwidth budget and the latency horizon, and its drain span
+/// from `τ`, at `set_network` time) and the jitter draws are stateless
+/// hashes — so steady-state event periods still touch the heap zero times.
 ///
 /// Loss is deliberately outside the guarantee, mirroring the admission-
 /// mutation exclusion above: a lost segment is missing *protocol* state,
@@ -221,6 +262,7 @@ fn sharded_steady_state_period_loop_does_not_allocate() {
 /// pins lossy runs by digest instead.
 #[test]
 fn steady_state_event_mode_stepping_does_not_allocate() {
+    let _serial = serial();
     use fss_overlay::NetworkConfig;
 
     let trace = TraceGenerator::new(GeneratorConfig::sized(300, 25)).generate("zero-alloc-event");
@@ -233,8 +275,8 @@ fn steady_state_event_mode_stepping_does_not_allocate() {
         Box::new(FastSwitchScheduler::new()),
     );
     // Trace latencies at full scale plus jitter: every message is deferred
-    // through the event queue and every data leg samples the jitter
-    // stream, but RTTs stay under the scheduling period, so the queue's
+    // through the in-flight store and every data leg samples the jitter
+    // stream, but RTTs stay under the scheduling period, so the store's
     // high-water mark sits well inside the capacity reserved by
     // `set_network`.
     sys.set_network(NetworkConfig {
@@ -253,7 +295,7 @@ fn steady_state_event_mode_stepping_does_not_allocate() {
     assert_eq!(
         during, 0,
         "event-mode steady-state periods allocated {during} times; \
-         the pre-reserved event queue must absorb all in-flight messages"
+         the pre-reserved in-flight store must absorb all in-flight messages"
     );
 
     let report = sys.report();
@@ -262,7 +304,7 @@ fn steady_state_event_mode_stepping_does_not_allocate() {
     let stats = sys.network_stats();
     assert!(
         stats.max_in_flight > 0,
-        "messages must actually defer through the event queue"
+        "messages must actually defer through the in-flight store"
     );
     assert!(stats.data_delivered > 0, "segments must still flow");
 }
@@ -273,6 +315,7 @@ fn steady_state_event_mode_stepping_does_not_allocate() {
 /// arrays — zero heap after construction.
 #[test]
 fn sketch_record_merge_and_fold_do_not_allocate() {
+    let _serial = serial();
     use fss_metrics::{QuantileSketch, ZapSummary};
 
     let mut local = QuantileSketch::new(1.0);
@@ -306,6 +349,7 @@ fn sketch_record_merge_and_fold_do_not_allocate() {
 /// pre-reserves its ring, and decimation merges in place.
 #[test]
 fn telemetry_enabled_stepping_and_harvest_do_not_allocate() {
+    let _serial = serial();
     use fss_metrics::{QoeWindow, QuantileSketch, Timeline};
 
     let trace = TraceGenerator::new(GeneratorConfig::sized(300, 24)).generate("zero-alloc-qoe");
@@ -359,6 +403,7 @@ fn telemetry_enabled_stepping_and_harvest_do_not_allocate() {
 /// once at construction; repeated quantile queries must not allocate.
 #[test]
 fn sorted_sample_quantile_does_not_allocate_per_call() {
+    let _serial = serial();
     use fss_metrics::{SortedSample, Summary};
 
     let values: Vec<f64> = (0..5_000).rev().map(|v| (v % 311) as f64).collect();
@@ -385,12 +430,12 @@ fn sorted_sample_quantile_does_not_allocate_per_call() {
 /// not allocate either — the pool exists precisely to amortise all per-
 /// period costs away.
 ///
-/// Only the main thread's allocations are deterministic to count (worker
-/// threads park/unpark on futexes, no heap), so the counting allocator
-/// tallies every thread — a worker-side allocation would fail the test too.
+/// This test reads the process-wide count, so a worker-side allocation
+/// would fail it too (workers park and unpark on futexes, no heap).
 #[cfg(feature = "parallel")]
 #[test]
 fn steady_state_pool_parallel_period_loop_does_not_allocate() {
+    let _serial = serial();
     use fss_runtime::WorkerPool;
     use std::sync::Arc;
 
@@ -412,9 +457,9 @@ fn steady_state_pool_parallel_period_loop_does_not_allocate() {
     // high-water marks; the pool's threads are long since spawned.
     sys.run_periods(80);
 
-    let before = allocations();
+    let before = process_allocations();
     sys.run_periods(20);
-    let during = allocations() - before;
+    let during = process_allocations() - before;
     assert_eq!(
         during, 0,
         "pool-backed steady-state periods allocated {during} times; job dispatch must be allocation-free"

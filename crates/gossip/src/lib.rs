@@ -27,9 +27,9 @@
 //!   outbound and per-requester inbound budgets),
 //! * [`membership`] — neighbour-set repair under churn,
 //! * [`net`] — the message-level network model of the event-driven
-//!   stepping mode: granted transfers ride [`fss_sim::EventQueue`] as
-//!   scheduled messages with per-link latency, Bernoulli loss and bounded
-//!   jitter from stateless fault streams (see `docs/network.md`),
+//!   stepping mode: granted transfers wait in a flat in-flight store as
+//!   messages with per-link latency, Bernoulli loss and bounded jitter
+//!   from stateless fault streams (see `docs/network.md`),
 //! * [`directory`] — the cross-channel membership directory: per-channel
 //!   [`directory::MembershipView`]s maintained incrementally on every
 //!   join/depart (churn, zaps, storms), and the shared allocation-free
@@ -78,7 +78,7 @@ pub use buffermap::BufferMap;
 pub use config::GossipConfig;
 pub use directory::{AdmissionPipeline, AdmissionScratch, MembershipView, ViewConfig};
 pub use mem::{BufferMemBreakdown, MemUsage, MemoryFootprint};
-pub use net::{NetMessage, NetStats, NetworkModel};
+pub use net::{NetStats, NetworkModel};
 pub use peer::{NeighborInfo, PeerNode};
 pub use playback::{PlaybackPhase, PlaybackState};
 pub use qoe::{PeriodSample, QoeRecorder, QoeTotals};

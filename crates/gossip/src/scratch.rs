@@ -57,6 +57,12 @@ pub struct WorkerScratch {
     pub request_pool: Vec<Vec<crate::scheduler::SegmentRequest>>,
     /// Control traffic observed by this worker (summed after the pass).
     pub control_bits: u64,
+    /// Requests this worker suppressed because the supplier's buffer map
+    /// was lost (event mode; summed after the pass).
+    pub requests_blinded: u64,
+    /// Requests this worker dropped on the request leg (event mode; summed
+    /// after the pass).
+    pub requests_lost: u64,
 }
 
 impl Default for SchedulingContext {

@@ -37,7 +37,7 @@ use crate::config::GossipConfig;
 use crate::directory::{sample_distinct, MembershipView, SampleScratch, ViewConfig};
 use crate::mem::{vec_bytes, MemUsage, MemoryFootprint};
 use crate::membership::MembershipMaintainer;
-use crate::net::{NetMessage, NetStats, NetworkModel};
+use crate::net::{NetStats, NetworkModel};
 use crate::peer::{self, NeighborInfo, PeerNode};
 use crate::prefetch::{prefetch_read, DELIVERY_AHEAD, WALK_AHEAD};
 use crate::qoe::{QoeRecorder, QoeTotals};
@@ -47,7 +47,7 @@ use crate::segment::{SegmentId, SessionDirectory, SourceId};
 use crate::stats::{RatioSample, SwitchRecord, SwitchStats, TrafficCounters};
 use crate::store::{PeerRef, PeerStore};
 use crate::transfer::{regroup_by_dest_shard, RequestBatch, TransferResolver};
-use fss_overlay::net::{MessageKind, NetworkConfig};
+use fss_overlay::net::{LinkFaults, MessageKind, NetworkConfig};
 use fss_overlay::{ChurnModel, Overlay, OverlayError, PeerAttrs, PeerId};
 use fss_sim::exec::{DisjointRanges, DisjointSlots, JobExecutor, SerialExecutor};
 use fss_sim::{SimDuration, SimTime};
@@ -835,10 +835,11 @@ impl StreamingSystem {
     }
 
     /// Executes one scheduling period in the event-driven mode: in-flight
-    /// messages from earlier periods land first, the period's churn /
-    /// emission / scheduling run at the boundary, granted transfers are
-    /// dispatched as scheduled messages, and every message arriving before
-    /// the next boundary is applied before playback advances.
+    /// messages due exactly at this boundary land first, the period's churn
+    /// / emission / scheduling run at the boundary, granted transfers are
+    /// sent into the in-flight store, and every message arriving before the
+    /// next boundary becomes the delivery list of the same shard-major
+    /// fused walk [`step`](Self::step) runs.
     ///
     /// With the ideal network every grant arrives at the boundary that
     /// resolved it, in resolver order — the exact state evolution of
@@ -863,34 +864,34 @@ impl StreamingSystem {
 
         // 0. Stragglers due exactly at this boundary are visible to this
         //    period's buffer-map exchange and scheduling.
-        self.drain_arrivals(now, true);
+        self.land_boundary_arrivals(now);
 
-        // 1-3. Identical to the period-lockstep step (discovery writes land
-        //      immediately: the arrival drain below reads them).
+        // 1-3. Identical to the period-lockstep step; the scheduling chunks
+        //      also apply buffer-map and request-leg loss.
         self.apply_churn();
         self.emit_segments();
-        self.collect_requests_scratch(true);
+        self.collect_requests_scratch(false);
 
         // 4. Transfer resolution at the boundary; grants become in-flight
         //    messages instead of instant inserts.
         self.dispatch_deliveries(now);
 
-        // 5. Everything arriving strictly inside this period lands before
-        //    playback advances.
-        self.drain_arrivals(next, false);
+        // 5. Everything arriving strictly inside this period is the
+        //    delivery list of the fused walk.
+        self.collect_arrivals(next, false);
 
-        // 6. Playback, milestones and accounting, as in period mode.
+        // 6. Shard-major fused walk and accounting, as in period mode.
         self.period_index += 1;
-        self.advance_playback_and_record();
+        self.apply_and_play_fused();
         self.account_switch_window(period_traffic_before);
         self.update_switch_completion();
     }
 
-    /// The event-mode delivery half: applies buffer-map and request-leg
-    /// loss to the collected batches, resolves the survivors against the
-    /// usual budgets, and schedules each grant's arrival (request leg +
-    /// data leg of scaled trace latency, plus jitter) unless the data leg
-    /// drops it.
+    /// The event-mode delivery half: resolves the requests that survived
+    /// the buffer-map and request legs (filtered in the scheduling chunks)
+    /// against the usual budgets, and sends each grant into the in-flight
+    /// store, due after the request and data legs of scaled trace latency
+    /// plus jitter, unless the data leg drops it.
     ///
     /// Loss semantics per leg:
     /// * a lost buffer-map advertisement blinds the requester to that
@@ -901,175 +902,66 @@ impl StreamingSystem {
     /// * a lost data message *does* consume the budget the resolver granted
     ///   it — upstream bandwidth spent on a transfer that never lands.
     fn dispatch_deliveries(&mut self, now: SimTime) {
-        let tau = self.config.tau_secs;
-        for budget in self.scratch.outbound_budget.iter_mut() {
-            *budget = 0;
-        }
-        for i in 0..self.scratch.active.len() {
-            let p = self.scratch.active[i] as usize;
-            self.scratch.outbound_budget[p] =
-                (self.scratch.outbound_rate[p] * tau).floor() as usize;
-        }
-
+        self.resolve_transfers();
         let period = self.period_index;
-        {
-            let net = self.net.as_mut().expect("network model installed");
-            if net.config.loss_rate > 0.0 {
-                for batch in self.scratch.batches.iter_mut() {
-                    let requester = batch.requester;
-                    batch.requests.retain(|req| {
-                        if net.faults.lost(
-                            req.supplier,
-                            requester,
-                            MessageKind::BufferMap,
-                            period,
-                            0,
-                        ) {
-                            net.stats.requests_blinded += 1;
-                            return false;
-                        }
-                        if net.faults.lost(
-                            requester,
-                            req.supplier,
-                            MessageKind::Request,
-                            period,
-                            req.segment.value(),
-                        ) {
-                            net.stats.requests_lost += 1;
-                            return false;
-                        }
-                        true
-                    });
-                }
+        let net = self.net.as_mut().expect("network model installed");
+        let latency = self.overlay.latency();
+        let scale = net.config.latency_scale;
+        for d in &self.scratch.deliveries {
+            net.stats.data_sent += 1;
+            let segment = d.segment.value();
+            if net
+                .faults
+                .lost(d.supplier, d.requester, MessageKind::Data, period, segment)
+            {
+                net.stats.data_lost += 1;
+                continue;
             }
+            let rtt_ms = if scale > 0.0 {
+                (scale * latency.round_trip_ms(d.requester, d.supplier))
+                    .round()
+                    .max(0.0) as u64
+            } else {
+                0
+            };
+            let jitter =
+                net.faults
+                    .jitter_ms(d.supplier, d.requester, MessageKind::Data, period, segment);
+            let arrival = now.saturating_add(SimDuration::from_millis(rtt_ms + jitter));
+            net.store.push(arrival, *d);
         }
+        net.stats.max_in_flight = net.stats.max_in_flight.max(net.store.len() as u64);
+    }
 
-        {
-            let PeriodScratch {
-                batches,
-                outbound_budget,
-                deliveries,
-                ..
-            } = &mut self.scratch;
-            self.resolver.resolve_round_into(
-                batches,
-                |p| outbound_budget.get(p as usize).copied().unwrap_or(0),
-                self.period_index,
-                deliveries,
-            );
-        }
-
-        let ideal = {
-            let net = self.net.as_ref().expect("network model installed");
-            net.config.is_ideal()
-        };
-        if ideal {
-            // Zero latency: every grant arrives at this same boundary, in
-            // resolver order — the queue would round-trip each message
-            // through the heap only to pop it straight back out in FIFO
-            // order, so apply the arrivals inline (the `net/*` bench pins
-            // the event-core overhead this short-circuit buys back).
-            for i in 0..self.scratch.deliveries.len() {
-                let d = self.scratch.deliveries[i];
-                let net = self.net.as_mut().expect("network model installed");
-                net.stats.data_sent += 1;
-                if self.overlay.graph().is_active(d.requester) {
-                    self.peers.buffer_mut(d.requester).insert(d.segment);
-                    self.traffic_total.add_data(self.config.segment_bits);
-                    net.stats.data_delivered += 1;
-                } else {
-                    self.traffic_total.add_data(self.config.segment_bits);
-                    net.stats.data_stale += 1;
-                }
-            }
-        } else {
-            let net = self.net.as_mut().expect("network model installed");
-            let latency = self.overlay.latency();
-            for i in 0..self.scratch.deliveries.len() {
-                let d = self.scratch.deliveries[i];
-                net.stats.data_sent += 1;
-                if net.config.loss_rate > 0.0
-                    && net.faults.lost(
-                        d.supplier,
-                        d.requester,
-                        MessageKind::Data,
-                        period,
-                        d.segment.value(),
-                    )
-                {
-                    net.stats.data_lost += 1;
-                    continue;
-                }
-                let rtt_ms =
-                    net.config.latency_scale * latency.round_trip_ms(d.requester, d.supplier);
-                let jitter = net.faults.jitter_ms(
-                    d.supplier,
-                    d.requester,
-                    MessageKind::Data,
-                    period,
-                    d.segment.value(),
-                );
-                let arrival = now.saturating_add(SimDuration::from_millis(
-                    rtt_ms.round().max(0.0) as u64 + jitter,
-                ));
-                net.queue.push(
-                    arrival,
-                    NetMessage {
-                        requester: d.requester,
-                        supplier: d.supplier,
-                        segment: d.segment,
-                    },
-                );
-                net.stats.max_in_flight = net.stats.max_in_flight.max(net.queue.len() as u64);
-            }
-        }
-
-        // Recycle the request vectors for the next period (as deliver_scratch).
-        let PeriodScratch {
-            batches,
-            request_pool,
-            ..
-        } = &mut self.scratch;
-        for batch in batches.drain(..) {
-            let mut requests = batch.requests;
-            requests.clear();
-            request_pool.push(requests);
+    /// Applies every in-flight message due exactly at `now` (the previous
+    /// period's drain stopped short of it) to its requester's buffer, in
+    /// send order, before this period's scheduling reads the buffers.
+    fn land_boundary_arrivals(&mut self, now: SimTime) {
+        self.collect_arrivals(now, true);
+        for i in 0..self.scratch.deliveries.len() {
+            let d = self.scratch.deliveries[i];
+            self.peers.buffer_mut(d.requester).insert(d.segment);
+            self.traffic_total.add_data(self.config.segment_bits);
         }
     }
 
-    /// Applies every in-flight message with arrival time `<= bound`
-    /// (inclusive) or `< bound` (exclusive) to its requester's buffer, in
-    /// (arrival time, send sequence) order.  Arrivals for peers that have
-    /// since left the overlay are dropped and counted; duplicate arrivals
-    /// are idempotent ([`crate::buffer::FifoBuffer::insert`]).  Data bits
-    /// are accounted at arrival — the instant period mode accounts them at,
-    /// once latency is zero.
-    fn drain_arrivals(&mut self, bound: SimTime, inclusive: bool) {
-        loop {
-            let popped = {
-                let net = self.net.as_mut().expect("network model installed");
-                if inclusive {
-                    net.queue.pop_at_or_before(bound)
-                } else {
-                    net.queue.pop_before(bound)
-                }
-            };
-            let Some(event) = popped else {
-                return;
-            };
-            let msg = event.payload;
-            let net = self.net.as_mut().expect("network model installed");
-            if self.overlay.graph().is_active(msg.requester) {
-                self.peers.buffer_mut(msg.requester).insert(msg.segment);
-                self.traffic_total.add_data(self.config.segment_bits);
-                net.stats.data_delivered += 1;
-            } else {
-                // The receiver zapped away or churned out mid-flight; the
-                // bits were still spent on the wire.
-                self.traffic_total.add_data(self.config.segment_bits);
-                net.stats.data_stale += 1;
-            }
-        }
+    /// Moves every in-flight message due before `bound` (or at it, when
+    /// `inclusive`) into `scratch.deliveries`, in (arrival, send sequence)
+    /// order.  Arrivals for peers that have since left the overlay are
+    /// dropped and counted stale; their bits were still spent on the wire
+    /// and are accounted here, the others where they are applied.
+    fn collect_arrivals(&mut self, bound: SimTime, inclusive: bool) {
+        let net = self.net.as_mut().expect("network model installed");
+        let deliveries = &mut self.scratch.deliveries;
+        deliveries.clear();
+        let drained = net.store.drain_due(bound, inclusive, deliveries);
+        let graph = self.overlay.graph();
+        deliveries.retain(|d| graph.is_active(d.requester));
+        let stale = (drained - deliveries.len()) as u64;
+        net.stats.data_delivered += deliveries.len() as u64;
+        net.stats.data_stale += stale;
+        self.traffic_total
+            .add_data(self.config.segment_bits * stale);
     }
 
     /// Builds the run report.  The per-peer switch records fold into their
@@ -1369,11 +1261,12 @@ impl StreamingSystem {
     /// reads pre-discovery state exactly like the reference implementation.
     ///
     /// `write_known` selects when the discovery result lands in the store:
-    /// the phase-major and event paths write it here (`true`, before any
-    /// delivery), the fused step defers it to the shard-major playback walk
-    /// (`false`) where the header line is hot anyway.  Both orderings are
-    /// byte-identical because nothing between scheduling and the fused walk
-    /// reads session knowledge.
+    /// the phase-major path writes it here (`true`, before any delivery),
+    /// the fused lockstep and event steps defer it to the shard-major
+    /// playback walk (`false`) where the header line is hot anyway.  Both
+    /// orderings are byte-identical because nothing between scheduling and
+    /// the fused walk reads session knowledge (dispatch and the arrival
+    /// drain touch only buffers and the in-flight store).
     fn collect_requests_scratch(&mut self, write_known: bool) {
         let capacity = self.overlay.graph().capacity();
         let workers = self.worker_count();
@@ -1443,6 +1336,7 @@ impl StreamingSystem {
         // Merge worker outputs in node order and account control traffic.
         debug_assert!(self.scratch.batches.is_empty());
         let mut control_bits = 0u64;
+        let (mut blinded, mut lost) = (0u64, 0u64);
         {
             let PeriodScratch {
                 batches,
@@ -1453,6 +1347,8 @@ impl StreamingSystem {
             for worker in worker_slots.iter_mut() {
                 control_bits += worker.control_bits;
                 worker.control_bits = 0;
+                blinded += std::mem::take(&mut worker.requests_blinded);
+                lost += std::mem::take(&mut worker.requests_lost);
                 batches.append(&mut worker.out);
                 // Return leftovers so no worker strands vectors across
                 // periods (worker/chunk assignment can change every period).
@@ -1460,6 +1356,10 @@ impl StreamingSystem {
             }
         }
         self.traffic_total.add_control(control_bits);
+        if let Some(net) = self.net.as_mut() {
+            net.stats.requests_blinded += blinded;
+            net.stats.requests_lost += lost;
+        }
     }
 
     /// Fills `scratch.chunks` with the `(start, end)` index ranges of the
@@ -1526,6 +1426,16 @@ impl StreamingSystem {
     /// (the persistent pool, or the in-line serial fallback) yields
     /// identical results.
     fn run_scheduling_pass(&mut self) {
+        // Event mode with loss: the buffer-map and request legs are drawn in
+        // the chunks, right after each peer's scheduling.
+        let faults = self
+            .net
+            .as_ref()
+            .filter(|net| net.config.loss_rate > 0.0)
+            .map(|net| RequestLegFaults {
+                faults: net.faults,
+                period: self.period_index,
+            });
         let executor = &self.executor;
         let PeriodScratch {
             active,
@@ -1556,6 +1466,7 @@ impl StreamingSystem {
                 scheduler,
                 outbound_rate,
                 inbound_rate,
+                faults,
             );
             return;
         }
@@ -1585,6 +1496,7 @@ impl StreamingSystem {
                 scheduler,
                 outbound_rate,
                 inbound_rate,
+                faults,
             );
         };
         match executor {
@@ -2007,6 +1919,14 @@ fn chunk_layout(active_len: usize, workers: usize) -> (usize, usize) {
     (chunk_size, active_len.div_ceil(chunk_size))
 }
 
+/// The fault streams and period the scheduling chunks draw buffer-map and
+/// request-leg loss from.
+#[derive(Clone, Copy)]
+struct RequestLegFaults {
+    faults: LinkFaults,
+    period: u64,
+}
+
 /// Runs the fused gather + discovery + scheduling pass for one contiguous
 /// chunk of the active list.
 ///
@@ -2019,6 +1939,13 @@ fn chunk_layout(active_len: usize, workers: usize) -> (usize, usize) {
 /// stays a pure function of the (immutable) system state plus the worker's
 /// own scratch, which is what makes the parallel fan-out trivially
 /// deterministic.
+///
+/// With `faults` set (event mode with loss), each peer's requests then pass
+/// the buffer-map and request legs: a request is dropped when the
+/// supplier's buffer map to this peer was lost (the peer scheduled blind)
+/// or when the request itself was lost.  The draws are stateless hashes, so
+/// the chunk layout cannot change an outcome; the drop counts land in the
+/// worker slot.
 // fss-lint: hot-path
 #[allow(clippy::too_many_arguments)]
 fn schedule_chunk(
@@ -2032,6 +1959,7 @@ fn schedule_chunk(
     scheduler: &dyn SegmentScheduler,
     outbound_rate: &[f64],
     inbound_rate: &[f64],
+    faults: Option<RequestLegFaults>,
 ) {
     debug_assert_eq!(chunk.len(), observed_out.len());
     for (i, &p) in chunk.iter().enumerate() {
@@ -2087,6 +2015,28 @@ fn schedule_chunk(
         }
         let mut requests = worker.request_pool.pop().unwrap_or_default();
         scheduler.schedule_into(&worker.ctx, &mut worker.sched, &mut requests);
+        if let Some(RequestLegFaults { faults, period }) = faults {
+            let (mut blinded, mut lost) = (0u64, 0u64);
+            requests.retain(|req| {
+                if faults.lost(req.supplier, p, MessageKind::BufferMap, period, 0) {
+                    blinded += 1;
+                    false
+                } else if faults.lost(
+                    p,
+                    req.supplier,
+                    MessageKind::Request,
+                    period,
+                    req.segment.value(),
+                ) {
+                    lost += 1;
+                    false
+                } else {
+                    true
+                }
+            });
+            worker.requests_blinded += blinded;
+            worker.requests_lost += lost;
+        }
         if requests.is_empty() {
             worker.request_pool.push(requests);
             continue;

@@ -166,6 +166,7 @@ impl LinkFaults {
     /// Whether the message identified by `(src, dst, kind, period, disc)`
     /// is dropped.  `disc` disambiguates messages sharing a link, kind and
     /// period (the system passes the segment id).
+    #[inline]
     pub fn lost(
         &self,
         src: PeerId,
@@ -184,6 +185,7 @@ impl LinkFaults {
 
     /// The uniform extra delay in `[0, jitter_ms]` for one message (0 when
     /// jitter is disabled).  Independent of the loss draw.
+    #[inline]
     pub fn jitter_ms(
         &self,
         src: PeerId,

@@ -268,3 +268,72 @@ fn loss_shows_up_as_reduced_data_traffic() {
         "a 20%-lossy overlay must still stream"
     );
 }
+
+/// A network slow enough that grants straddle period boundaries: trace
+/// latencies scaled 8× plus up to 40 ms of jitter push round trips past
+/// `τ`, so arrivals are carried into later periods and many land on the
+/// same millisecond tick — the orderings the in-flight store must keep.
+fn boundary_crossing_network() -> NetworkConfig {
+    NetworkConfig {
+        latency_scale: 8.0,
+        loss_rate: 0.02,
+        jitter_ms: 40,
+        seed: 0xB0_DA27,
+    }
+}
+
+/// One boundary-crossing run (churn + Zipf zapping, so some arrivals find
+/// their requester gone).  Also returns the largest number of messages
+/// still in flight after any measured period.
+fn run_boundary_crossing(workers: usize, shards: usize) -> (RuntimeReport, usize) {
+    let config = SessionConfig {
+        seed: 37,
+        network: Some(boundary_crossing_network()),
+        ..SessionConfig::paper_default(3, 35)
+    };
+    let pool = Arc::new(WorkerPool::new(workers));
+    let mut m = SessionManager::new(config, pool, || Box::new(FastSwitchScheduler::new()));
+    m.set_zap_schedule(Box::new(CrowdZap::zipf(
+        3,
+        35,
+        config.zap_fraction,
+        1.2,
+        37,
+    )));
+    m.enable_channel_churn(7);
+    m.set_gossip_parallelism(workers);
+    m.set_shards(shards);
+    m.warmup(14);
+    let mut carried = 0;
+    for _ in 0..18 {
+        m.step();
+        for c in 0..m.channels() {
+            let net = m.channel_system(c).network().expect("network installed");
+            carried = carried.max(net.in_flight());
+        }
+    }
+    (m.report(), carried)
+}
+
+/// Digest of the boundary-crossing run, captured from the binary-heap event
+/// queue the flat in-flight store replaced.
+const BOUNDARY_CROSSING_DIGEST: u64 = 7842827486749016761;
+
+#[test]
+fn boundary_crossing_runs_are_pinned_across_pools_and_shards() {
+    for &workers in &[1usize, 2] {
+        for &shards in &[1usize, 4] {
+            let (report, carried) = run_boundary_crossing(workers, shards);
+            assert!(
+                carried > 0,
+                "the configuration must defer messages past a boundary"
+            );
+            let surface = format!("{}\n{}", legacy_surface(&report), qoe_surface(&report));
+            assert_eq!(
+                fx_digest(&surface),
+                BOUNDARY_CROSSING_DIGEST,
+                "boundary-crossing run drifted at workers={workers} shards={shards}:\n{surface}"
+            );
+        }
+    }
+}

@@ -1,43 +1,30 @@
-//! Deterministic discrete-event simulation engine.
+//! Deterministic simulation substrate.
 //!
 //! `fss-sim` is the lowest-level substrate of the fast-source-switching
 //! reproduction.  It provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a fixed-point virtual clock (millisecond
 //!   resolution) so that event ordering is exact and platform independent,
-//! * [`EventQueue`] — a priority queue with deterministic FIFO tie-breaking
-//!   for events scheduled at the same instant,
-//! * [`Engine`] — a generic event loop driving a user supplied
-//!   [`EventHandler`],
 //! * [`RngFactory`] — reproducible per-stream random number generators derived
 //!   from a single master seed,
 //! * [`hasher`] — the deterministic `FxHashMap`/`FxHashSet` aliases every
 //!   workspace crate uses instead of default-`RandomState` collections
 //!   (statically enforced by `fss-lint` rule FSS001), and
-//! * [`PeriodDriver`] — a convenience driver for period-synchronous protocols
-//!   (the gossip scheduling period `τ` of the paper), and
 //! * [`JobExecutor`] / [`ScopedJob`] — the scoped fan-out contract shared by
 //!   the gossip scheduling sweep, the `fss-runtime` worker pool and the
 //!   experiment sweeps (per-chunk slots make results executor-independent).
 //!
-//! The engine is intentionally free of any networking or streaming concepts;
-//! those live in `fss-gossip`.
+//! The substrate is intentionally free of any networking or streaming
+//! concepts; those live in `fss-gossip` (its event-driven network model
+//! keeps its own in-flight store, `fss_gossip::net`).
 
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod event;
 pub mod exec;
 pub mod hasher;
-pub mod period;
-pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use engine::{Engine, EventHandler, Scheduler};
-pub use event::ScheduledEvent;
 pub use exec::{DisjointRanges, DisjointSlots, JobExecutor, ScopedJob, SerialExecutor};
-pub use period::{PeriodControl, PeriodDriver};
-pub use queue::EventQueue;
 pub use rng::{RngFactory, StreamRng};
 pub use time::{SimDuration, SimTime};

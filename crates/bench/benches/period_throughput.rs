@@ -2,16 +2,13 @@
 //!
 //! Benchmarks one full scheduling period (buffer-map exchange, discovery,
 //! context building, scheduling, transfer resolution, delivery, playback)
-//! through:
+//! through `StreamingSystem::advance`, the single period pipeline:
 //!
-//! * `reference_period` — the original straight-line implementation
-//!   (`step_reference`): fresh allocations, per-id neighbour probing,
-//!   map-based transfer resolution;
-//! * `optimized_period` — the scratch-arena hot path (`step`): zero
-//!   steady-state allocation, dense PeerId indexing, word-level bitset
-//!   candidate intersection;
+//! * `optimized_period` — the scratch-arena pipeline: zero steady-state
+//!   allocation, dense PeerId indexing, word-level bitset candidate
+//!   intersection;
 //! * `optimized_period_1k_pool*` (with `--features parallel`) — the same
-//!   hot path with the scheduling sweep dispatched onto the persistent
+//!   pipeline with the scheduling sweep dispatched onto the persistent
 //!   `fss-runtime` worker pool (no thread spawns per period);
 //! * `mem/*` — the per-peer footprint meter on the same steady system:
 //!   prints steady-state bytes/peer (compact vs legacy layout) and times
@@ -23,11 +20,9 @@
 //! * `qoe_overhead/*` — one steady period with QoE event recording on
 //!   (the default) versus off: the cost of the streaming telemetry layer
 //!   on the playback pass;
-//! * `locality/*` — the shard-major fused period pipeline (the default)
-//!   against the phase-major ordering it replaced
-//!   (`set_phase_major(true)`), unsharded and on an 8-shard store: the
-//!   cache-locality dividend of running every per-peer phase while the
-//!   shard's columns are hot, with a gated million-peer before/after lane;
+//! * `locality/*` — the shard-major fused pipeline unsharded and on an
+//!   8-shard store: what the destination-shard regroup and the shard-run
+//!   walk cost when the whole store already fits in cache;
 //! * `net/*` — the event-driven network core against plain period
 //!   stepping: `period_mode_1k` is the lockstep baseline, `event_ideal_1k`
 //!   routes the same period through `advance()` with the ideal (zero
@@ -35,11 +30,13 @@
 //!   difference is pure event-core bookkeeping (budget ≤ 10 %) — and
 //!   `event_faulty_1k` prices a lossy, delayed, jittered period.
 //!
-//! The measured periods/second ratio, the `mem/*` bytes/peer figures, the
-//! `zap_admission/*` per-batch costs and the `qoe_overhead/*` telemetry
-//! tax are recorded in `BENCH_period.json` (acceptance targets: ≥ 2×
-//! period speedup, ≥ 40 % bytes/peer reduction, directory admission ≤
-//! legacy admission, QoE overhead ≤ 5 % of a period).
+//! The period costs, the `mem/*` bytes/peer figures, the `zap_admission/*`
+//! per-batch costs and the `qoe_overhead/*` telemetry tax are recorded in
+//! `BENCH_period.json` (acceptance targets: ≥ 40 % bytes/peer reduction,
+//! directory admission ≤ legacy admission, QoE overhead ≤ 5 % of a
+//! period).  The retired `reference_period_1k` and `locality/phase_major_*`
+//! lanes timed the straight-line and phase-major period bodies the single
+//! pipeline replaced; their figures stay in the JSON as history.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fss_core::FastSwitchScheduler;
@@ -82,10 +79,7 @@ fn bench_period_throughput(c: &mut Criterion) {
     group.sample_size(10);
 
     let mut sys = steady_system(1);
-    group.bench_function("reference_period_1k", |b| b.iter(|| sys.step_reference()));
-
-    let mut sys = steady_system(1);
-    group.bench_function("optimized_period_1k", |b| b.iter(|| sys.step()));
+    group.bench_function("optimized_period_1k", |b| b.iter(|| sys.advance()));
 
     #[cfg(feature = "parallel")]
     {
@@ -94,7 +88,7 @@ fn bench_period_throughput(c: &mut Criterion) {
         let mut sys = steady_system(1);
         sys.set_parallelism(workers);
         sys.set_executor(pool.as_executor());
-        group.bench_function("optimized_period_1k_pool", |b| b.iter(|| sys.step()));
+        group.bench_function("optimized_period_1k_pool", |b| b.iter(|| sys.advance()));
 
         // A deliberately oversubscribed pool (4 workers regardless of vCPUs)
         // bounds the dispatch overhead the persistent pool adds per period.
@@ -102,7 +96,7 @@ fn bench_period_throughput(c: &mut Criterion) {
         let mut sys = steady_system(1);
         sys.set_parallelism(4);
         sys.set_executor(pool.as_executor());
-        group.bench_function("optimized_period_1k_pool4", |b| b.iter(|| sys.step()));
+        group.bench_function("optimized_period_1k_pool4", |b| b.iter(|| sys.advance()));
     }
 
     group.finish();
@@ -168,19 +162,7 @@ fn bench_million_peers(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("period");
     group.sample_size(10);
-    group.bench_function("optimized_period_1m_sharded", |b| b.iter(|| sys.step()));
-    group.finish();
-
-    // The million-peer before/after for the fused pipeline: the same warm
-    // system stepped phase-major.  The working set dwarfs every cache
-    // level, so this lane is where the locality restructuring pays most.
-    let mut group = c.benchmark_group("locality");
-    group.sample_size(10);
-    sys.set_phase_major(true);
-    group.bench_function("phase_major_period_1m_sharded", |b| {
-        b.iter(|| sys.advance())
-    });
-    sys.set_phase_major(false);
+    group.bench_function("optimized_period_1m_sharded", |b| b.iter(|| sys.advance()));
     group.finish();
 
     let mut group = c.benchmark_group("mem");
@@ -191,38 +173,20 @@ fn bench_million_peers(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `locality/*` lane: the cache-locality dividend of the shard-major
-/// fused period pipeline.
-///
-/// * `fused_period_1k` / `fused_period_1k_sharded8` — the default `step()`:
-///   per shard run, deliveries are applied and playback advanced while the
-///   shard's hot columns are resident;
-/// * `phase_major_period_1k` / `phase_major_period_1k_sharded8` — the
-///   phase-major ordering the fusion replaced (every phase sweeps all
-///   shards before the next starts), kept for one release as the
-///   equivalence oracle.
-///
-/// Both orderings produce byte-identical reports (pinned by
-/// `fused_equivalence.rs`); the delta here is pure memory locality.
+/// The `locality/*` lane: the shard-major fused pipeline on one shard and
+/// on an 8-shard store.  Reports are byte-identical across shard counts
+/// (pinned by `shard_determinism.rs`); at 1k the whole store fits in
+/// cache, so the delta is the regroup and run-boundary overhead that the
+/// locality dividend has to pay for at scale (`period/1m`).
 fn bench_locality(c: &mut Criterion) {
     let mut group = c.benchmark_group("locality");
     group.sample_size(10);
 
     let mut sys = steady_system(1);
-    group.bench_function("fused_period_1k", |b| b.iter(|| sys.step()));
-
-    let mut sys = steady_system(1);
-    sys.set_phase_major(true);
-    group.bench_function("phase_major_period_1k", |b| b.iter(|| sys.advance()));
+    group.bench_function("fused_period_1k", |b| b.iter(|| sys.advance()));
 
     let mut sys = sharded_steady_system(1, 8);
-    group.bench_function("fused_period_1k_sharded8", |b| b.iter(|| sys.step()));
-
-    let mut sys = sharded_steady_system(1, 8);
-    sys.set_phase_major(true);
-    group.bench_function("phase_major_period_1k_sharded8", |b| {
-        b.iter(|| sys.advance())
-    });
+    group.bench_function("fused_period_1k_sharded8", |b| b.iter(|| sys.advance()));
 
     group.finish();
 }
@@ -320,7 +284,7 @@ fn bench_qoe_overhead(c: &mut Criterion) {
 
     let mut sys = steady_system(1);
     assert!(sys.qoe().is_enabled(), "QoE recording defaults to on");
-    group.bench_function("events_on_1k", |b| b.iter(|| sys.step()));
+    group.bench_function("events_on_1k", |b| b.iter(|| sys.advance()));
     assert!(
         sys.qoe().totals().startups > 0,
         "the instrumented steps must record startups"
@@ -328,7 +292,7 @@ fn bench_qoe_overhead(c: &mut Criterion) {
 
     let mut sys = steady_system(1);
     sys.set_qoe_enabled(false);
-    group.bench_function("events_off_1k", |b| b.iter(|| sys.step()));
+    group.bench_function("events_off_1k", |b| b.iter(|| sys.advance()));
 
     group.finish();
 }
@@ -347,7 +311,7 @@ fn bench_net_overhead(c: &mut Criterion) {
     group.sample_size(10);
 
     let mut sys = steady_system(1);
-    group.bench_function("period_mode_1k", |b| b.iter(|| sys.step()));
+    group.bench_function("period_mode_1k", |b| b.iter(|| sys.advance()));
 
     let mut sys = steady_system(1);
     sys.set_network(NetworkConfig::ideal());

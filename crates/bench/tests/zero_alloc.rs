@@ -113,13 +113,15 @@ fn steady_state_period_loop_does_not_allocate() {
     assert_eq!(report.periods, 100);
     assert!(report.traffic_total.data_bits > 0);
 
-    // The reference implementation allocates heavily — confirming the
-    // counter actually observes the loop.
+    // Counter sanity check: explicit allocations on this thread register,
+    // so the zero above was observed, not missed.
     let before = allocations();
-    sys.run_periods_reference(1);
+    for i in 0..128u64 {
+        std::hint::black_box(Box::new(i));
+    }
     assert!(
         allocations() - before > 100,
-        "reference path should allocate (counter sanity check)"
+        "the allocation counter must observe this thread's allocations"
     );
 }
 
@@ -372,7 +374,7 @@ fn telemetry_enabled_stepping_and_harvest_do_not_allocate() {
 
     let before = allocations();
     for _ in 0..24 {
-        sys.step();
+        sys.advance();
         let sample = *sys.qoe().latest().unwrap();
         timeline.push(QoeWindow::from_sample(&sample));
         for &delay in sys.qoe().startup_delays_periods() {

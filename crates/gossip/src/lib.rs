@@ -79,7 +79,7 @@ pub use config::GossipConfig;
 pub use directory::{AdmissionPipeline, AdmissionScratch, MembershipView, ViewConfig};
 pub use mem::{BufferMemBreakdown, MemUsage, MemoryFootprint};
 pub use net::{NetStats, NetworkModel};
-pub use peer::{NeighborInfo, PeerNode};
+pub use peer::PeerNode;
 pub use playback::{PlaybackPhase, PlaybackState};
 pub use qoe::{PeriodSample, QoeRecorder, QoeTotals};
 pub use scheduler::{

@@ -126,7 +126,7 @@ impl QoeTotals {
 }
 
 /// Counter-only QoE event recorder driven from the playback pass of
-/// `StreamingSystem::step` (and, identically, `step_reference`).
+/// `StreamingSystem::advance`.
 ///
 /// The recorder owns no aggregation beyond the current period: callers read
 /// [`latest`](Self::latest) plus the per-period event buffers
@@ -215,8 +215,8 @@ impl QoeRecorder {
     /// Callers must observe active peers in **ascending id order** exactly
     /// once per period, between `begin_period` and `finish_period`.  The
     /// fused shard-major walk preserves this by visiting shard runs of the
-    /// (ascending) active list in order, so its rows are byte-identical to
-    /// the phase-major sweep's.  Reads only the peer's own slot and the
+    /// (ascending) active list in order, so its rows are independent of the
+    /// shard geometry.  Reads only the peer's own slot and the
     /// current row — never another peer's state — which is what lets the
     /// fused pipeline interleave it with delivery application.
     #[inline]

@@ -1,7 +1,7 @@
 //! Reusable per-period working memory (the "scratch arena").
 //!
-//! `StreamingSystem::step` used to re-allocate the world every scheduling
-//! period: the active-peer list, a `Vec<NeighborInfo>` per node, a
+//! The original period loop re-allocated the world every scheduling period:
+//! the active-peer list, a neighbour-info `Vec` per node, a
 //! `Vec<SupplierInfo>` per candidate segment, a `HashMap` of outbound
 //! budgets, and the per-node request vectors.  At production scale (the
 //! ROADMAP's million-user scenarios) those allocations dominate the period
@@ -24,9 +24,10 @@
 //! per-id neighbour probing happens at all.
 //!
 //! The structures only ever grow (to a steady-state high-water mark); the
-//! equivalence tests assert the resulting [`SystemReport`]s are identical to
-//! the pre-refactor reference implementation, and the allocation-counter
-//! test in `fss-bench` asserts the zero-allocation property.
+//! equivalence tests pin the resulting [`SystemReport`]s to digests captured
+//! from the pre-refactor reference implementation, and the
+//! allocation-counter test in `fss-bench` asserts the zero-allocation
+//! property.
 //!
 //! [`SystemReport`]: crate::system::SystemReport
 
@@ -98,7 +99,7 @@ impl WorkerScratch {
     /// `avail = OR(neighbour held)`, candidates = `need AND avail`.
     ///
     /// Candidates are produced in ascending id order with suppliers in
-    /// `neighbors` order — identical to the reference per-id probing.
+    /// `neighbors` order — the order per-id neighbour probing would give.
     #[allow(clippy::too_many_arguments)]
     fn candidates_in_range(
         &mut self,
@@ -167,10 +168,11 @@ impl WorkerScratch {
         }
     }
 
-    /// Rebuilds `self.ctx` for `node` without allocating, mirroring
-    /// `PeerNode::build_context` exactly (same windows, same candidate
-    /// order, same supplier order).  Returns `false` when the node has
-    /// nothing it could request this period.
+    /// Rebuilds `self.ctx` for `node` without allocating: candidates in
+    /// ascending id order over the current stream's trailing `2·B` window
+    /// plus the next (new-source) stream once discovered, suppliers in
+    /// `neighbors` order.  Returns `false` when the node has nothing it
+    /// could request this period.
     ///
     /// The discovery inputs arrive precomputed: `known_sessions` is the
     /// node's *post-discovery* session count for this period (the fused
@@ -208,7 +210,7 @@ impl WorkerScratch {
         let current = &known[current_idx];
         let next = known.get(current_idx + 1);
 
-        // Ranges identical to the reference implementation: the current
+        // Candidate ranges: the current
         // stream capped to a 2·B trailing window, plus the next (new-source)
         // stream once discovered.  Ranges are disjoint and ascending, so
         // candidates come out in id order.

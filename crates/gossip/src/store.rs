@@ -26,11 +26,9 @@
 //! with `PeerNode` in [`crate::peer`].
 
 use crate::buffer::FifoBuffer;
-use crate::config::GossipConfig;
 use crate::mem::{vec_bytes, MemoryFootprint};
-use crate::peer::{self, NeighborInfo, PeerNode};
+use crate::peer::{self, PeerNode};
 use crate::playback::PlaybackState;
-use crate::scheduler::SchedulingContext;
 use crate::segment::{SegmentId, Session, SessionDirectory};
 use fss_overlay::PeerId;
 
@@ -391,11 +389,6 @@ impl<'a> PeerRef<'a> {
         self.playback.next_play()
     }
 
-    /// The sessions the peer currently knows about.
-    pub fn known<'d>(&self, directory: &'d SessionDirectory) -> &'d [Session] {
-        peer::known_slice(self.known_sessions, directory)
-    }
-
     /// See [`PeerNode::undelivered_in_session`].
     pub fn undelivered_in_session(&self, session: &Session, fallback_end: SegmentId) -> usize {
         peer::undelivered_in_session(self.buffer, self.id_play(), session, fallback_end)
@@ -404,30 +397,6 @@ impl<'a> PeerRef<'a> {
     /// See [`PeerNode::q2_for`].
     pub fn q2_for(&self, session: &Session, qs: usize) -> usize {
         peer::q2_for(self.buffer, session, qs)
-    }
-
-    /// See [`PeerNode::prepared_for`].
-    pub fn prepared_for(&self, session: &Session, qs: usize) -> bool {
-        self.q2_for(session, qs) == 0
-    }
-
-    /// See [`PeerNode::build_context`] (the allocating reference path; the
-    /// optimized path goes through the scratch arena instead).
-    pub fn build_context(
-        &self,
-        config: &GossipConfig,
-        directory: &SessionDirectory,
-        inbound_rate: f64,
-        neighbors: &[NeighborInfo<'_>],
-    ) -> Option<SchedulingContext> {
-        peer::build_context(
-            self.buffer,
-            self.id_play(),
-            self.known(directory),
-            config,
-            inbound_rate,
-            neighbors,
-        )
     }
 }
 
@@ -459,30 +428,12 @@ impl PeerMut<'_> {
     pub fn discover_sessions(&mut self, directory: &SessionDirectory, observed_max: SegmentId) {
         peer::discover_sessions(&mut self.header.known_sessions, directory, observed_max);
     }
-
-    /// See [`PeerNode::advance_playback`].
-    pub fn advance_playback(&mut self, config: &GossipConfig, directory: &SessionDirectory) -> u64 {
-        let known = peer::known_slice(self.header.known_sessions, directory);
-        peer::advance_playback(
-            self.buffer,
-            &mut self.header.playback,
-            &mut self.header.play_credit,
-            known,
-            config,
-        )
-    }
-
-    /// Read access to the peer's playback state (the QoE recorder observes
-    /// it right after [`advance_playback`](Self::advance_playback) without
-    /// paying a second store lookup).
-    pub fn playback(&self) -> &PlaybackState {
-        &self.header.playback
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::GossipConfig;
 
     fn store_of(n: usize, shard_size: usize) -> PeerStore {
         let cfg = GossipConfig::paper_default();
@@ -523,7 +474,17 @@ mod tests {
         node.discover_sessions(&dir, SegmentId(5));
         assert_eq!(store.peer(2).known_sessions(), node.known_sessions());
 
-        let played_store = store.peer_mut(2).advance_playback(&cfg, &dir);
+        // Peer 2 is slot 2 of shard 0; advance it over the bare columns, as
+        // the fused period walk does.
+        let (buffers, headers) = store.shard_mut(0).columns_mut();
+        let header = &mut headers[2];
+        let played_store = peer::advance_playback(
+            &buffers[2],
+            &mut header.playback,
+            &mut header.play_credit,
+            peer::known_slice(header.known_sessions, &dir),
+            &cfg,
+        );
         let played_node = node.advance_playback(&cfg, &dir);
         assert_eq!(played_store, played_node);
         assert_eq!(store.peer(2).id_play(), node.id_play());

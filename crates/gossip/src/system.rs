@@ -14,9 +14,9 @@
 //! 5. every node advances playback; switch milestones and the per-period
 //!    ratio tracks are recorded.
 //!
-//! # Hot path
+//! # One pipeline
 //!
-//! [`step`](StreamingSystem::step) runs the optimized period loop: all
+//! [`advance`](StreamingSystem::advance) is the only period body.  All
 //! working memory lives in a reusable [`PeriodScratch`] arena (zero
 //! steady-state heap allocation), candidate segments are discovered by
 //! word-level bitset intersection of per-peer availability maps, per-peer
@@ -26,11 +26,13 @@
 //! production; an in-line serial fallback otherwise) in deterministic node
 //! order.  Chunk outputs land in per-chunk scratch slots, so the report is
 //! byte-identical regardless of executor, worker count or scheduling
-//! interleaving.
-//! [`step_reference`](StreamingSystem::step_reference) preserves the
-//! original straight-line implementation; the two are byte-equivalent (the
-//! test-suite asserts identical [`SystemReport`]s) and the reference serves
-//! as the baseline for `BENCH_period.json`.
+//! interleaving.  Installing a message-level network model
+//! ([`StreamingSystem::set_network`]) adds three legs to the same pipeline
+//! — boundary landing, in-flight dispatch and the arrival drain — rather
+//! than a second period body.  The behaviour is pinned by report digests
+//! (this module's tests, `tests/equivalence.rs` and the `fss-runtime` pin
+//! suites), captured from the straight-line reference implementation and
+//! the pipelines this one replaced.
 
 use crate::buffer::FifoBuffer;
 use crate::config::GossipConfig;
@@ -38,7 +40,7 @@ use crate::directory::{sample_distinct, MembershipView, SampleScratch, ViewConfi
 use crate::mem::{vec_bytes, MemUsage, MemoryFootprint};
 use crate::membership::MembershipMaintainer;
 use crate::net::{NetStats, NetworkModel};
-use crate::peer::{self, NeighborInfo, PeerNode};
+use crate::peer::{self, PeerNode};
 use crate::prefetch::{prefetch_read, DELIVERY_AHEAD, WALK_AHEAD};
 use crate::qoe::{QoeRecorder, QoeTotals};
 use crate::scheduler::SegmentScheduler;
@@ -147,11 +149,6 @@ pub struct StreamingSystem {
     /// to the event-driven mode, which carries granted transfers as
     /// scheduled messages with latency, loss and jitter (see [`crate::net`]).
     net: Option<NetworkModel>,
-    /// Selects the phase-major period pipeline (the pre-fusion ordering:
-    /// whole-population scheduling, then delivery, then playback) instead of
-    /// the default shard-major fused pipeline.  Results are byte-identical;
-    /// kept for one release as the fusion oracle.
-    phase_major: bool,
 }
 
 impl StreamingSystem {
@@ -208,7 +205,6 @@ impl StreamingSystem {
             parallelism: 1,
             executor: None,
             net: None,
-            phase_major: false,
         }
     }
 
@@ -397,15 +393,6 @@ impl StreamingSystem {
     /// percent of period throughput.
     pub fn set_qoe_enabled(&mut self, on: bool) {
         self.qoe.set_enabled(on);
-    }
-
-    /// Selects the phase-major period pipeline (whole-population phases in
-    /// sequence) instead of the default shard-major fused pipeline.  The two
-    /// orderings produce byte-identical reports — pinned by the fused
-    /// equivalence suite — so this knob exists only as the fusion oracle and
-    /// for locality benchmarking; it is kept for one release.
-    pub fn set_phase_major(&mut self, on: bool) {
-        self.phase_major = on;
     }
 
     /// Decimates the per-period ratio samples to every `keep_every`-th
@@ -702,15 +689,6 @@ impl StreamingSystem {
         }
     }
 
-    /// Runs `n` scheduling periods through the reference (pre-optimization)
-    /// implementation.  Used by equivalence tests and the baseline lane of
-    /// the `period_throughput` benchmark.
-    pub fn run_periods_reference(&mut self, n: u64) {
-        for _ in 0..n {
-            self.step_reference();
-        }
-    }
-
     /// Runs until every countable node has completed the switch or
     /// `max_periods` have elapsed since the call.  Returns the number of
     /// periods executed.
@@ -723,175 +701,66 @@ impl StreamingSystem {
         executed
     }
 
-    /// Executes one scheduling period through whichever stepping mode is
-    /// installed: period-lockstep ([`step`](Self::step)) by default, the
-    /// event-driven mode ([`step_event`](Self::step_event)) once
-    /// [`set_network`](Self::set_network) installed a network model.  The
-    /// single dispatch point every runner (period loops, the session
-    /// manager, experiments) goes through.
-    pub fn advance(&mut self) {
-        if self.net.is_some() {
-            self.step_event();
-        } else if self.phase_major {
-            self.step_phase_major();
-        } else {
-            self.step();
-        }
-    }
-
     /// True when every countable node has finished the old stream and
     /// prepared the new one.
     pub fn switch_complete(&self) -> bool {
         self.switch_completed_secs.is_some()
     }
 
-    /// Executes one scheduling period (optimized hot path): the shard-major
-    /// **fused** pipeline.
+    /// Executes one scheduling period — the single period pipeline every
+    /// runner (period loops, the session manager, experiments) goes
+    /// through:
     ///
-    /// The per-peer phases that used to run as whole-population sweeps —
-    /// discovery write, delivery application, playback advance, QoE
-    /// observation and switch milestones — execute back to back per shard
-    /// chunk while that shard's columns are cache-resident.  Only transfer
-    /// resolution stays global (it must see every request batch), and the
-    /// counting-sort resolver's stable supplier grouping is re-grouped by
-    /// *destination* shard so the apply walk also runs shard-major.  The
-    /// resulting reports are byte-identical to the phase-major ordering
-    /// ([`step_phase_major`](Self::step_phase_major)) — pinned by the fused
-    /// equivalence suite.
+    /// 1. churn and membership repair,
+    /// 2. source emission,
+    /// 3. buffer-map exchange, discovery and scheduling on the (optionally
+    ///    parallel) chunked pass, which computes post-discovery knowledge
+    ///    locally and defers the store write to step 5,
+    /// 4. global transfer resolution (no buffer mutation yet),
+    /// 5. the shard-major fused walk: delivery application, discovery
+    ///    write, playback, QoE and switch milestones per shard run while
+    ///    that shard's columns are cache-resident,
+    /// 6. switch-window traffic accounting.
     ///
-    /// # Panics
-    /// Panics if a network model is installed: stepping past in-flight
-    /// messages would silently strand them — use [`advance`](Self::advance)
-    /// (or [`step_event`](Self::step_event)) instead.
-    pub fn step(&mut self) {
-        assert!(
-            self.net.is_none(),
-            "a network model is installed; use advance()/step_event()"
-        );
+    /// With a network model installed ([`set_network`](Self::set_network))
+    /// three legs join in: in-flight messages due exactly at this boundary
+    /// land before churn, the step-4 grants are sent into the in-flight
+    /// store instead of applied, and every message arriving before the next
+    /// boundary becomes step 5's delivery list.  Under
+    /// [`NetworkConfig::ideal`] every grant arrives at the boundary that
+    /// resolved it, in resolver order — the lockstep state evolution,
+    /// byte-for-byte (fault draws are skipped entirely, so no RNG stream
+    /// moves either).
+    pub fn advance(&mut self) {
         let period_traffic_before = self.traffic_total;
-
-        // 1. Churn and membership repair.
-        self.apply_churn();
-
-        // 2. Source emission.
-        self.emit_segments();
-
-        // 3. Buffer-map exchange, discovery and scheduling.  The fused
-        //    scheduling chunks compute post-discovery knowledge locally;
-        //    the store write lands in the per-shard walk below.
-        self.collect_requests_scratch(false);
-
-        // 4. Global transfer resolution (no buffer mutation yet).
-        self.resolve_transfers();
-
-        // 5. Shard-major fused walk: delivery application, discovery write,
-        //    playback, QoE and milestones per shard run.
-        self.period_index += 1;
-        self.apply_and_play_fused();
-
-        // 6. Switch-window traffic accounting.
-        self.account_switch_window(period_traffic_before);
-        self.update_switch_completion();
-    }
-
-    /// Executes one scheduling period through the phase-major pipeline the
-    /// fused [`step`](Self::step) replaced: each per-peer phase sweeps the
-    /// whole population before the next starts.  Byte-identical to the fused
-    /// ordering; kept for one release as the fusion oracle (reachable via
-    /// [`set_phase_major`](Self::set_phase_major)).
-    ///
-    /// # Panics
-    /// Panics if a network model is installed (see [`step`](Self::step)).
-    pub fn step_phase_major(&mut self) {
-        assert!(
-            self.net.is_none(),
-            "a network model is installed; use advance()/step_event()"
-        );
-        let period_traffic_before = self.traffic_total;
-        self.apply_churn();
-        self.emit_segments();
-        self.collect_requests_scratch(true);
-        self.deliver_scratch();
-        self.period_index += 1;
-        self.advance_playback_and_record();
-        self.account_switch_window(period_traffic_before);
-        self.update_switch_completion();
-    }
-
-    /// Executes one scheduling period through the original straight-line
-    /// implementation (fresh allocations, per-id neighbour probing, map-based
-    /// transfer resolution).  Behaviour is identical to
-    /// [`step`](Self::step); kept as the verification baseline.
-    pub fn step_reference(&mut self) {
-        let period_traffic_before = self.traffic_total;
-        self.apply_churn();
-        self.emit_segments();
-        let batches = self.collect_requests_reference();
-        self.deliver_reference(batches);
-        self.period_index += 1;
-        self.advance_playback_and_record();
-        self.account_switch_window(period_traffic_before);
-        self.update_switch_completion();
-    }
-
-    /// Executes one scheduling period in the event-driven mode: in-flight
-    /// messages due exactly at this boundary land first, the period's churn
-    /// / emission / scheduling run at the boundary, granted transfers are
-    /// sent into the in-flight store, and every message arriving before the
-    /// next boundary becomes the delivery list of the same shard-major
-    /// fused walk [`step`](Self::step) runs.
-    ///
-    /// With the ideal network every grant arrives at the boundary that
-    /// resolved it, in resolver order — the exact state evolution of
-    /// [`step`](Self::step), byte-for-byte (fault draws are skipped
-    /// entirely, so no RNG stream moves either).
-    ///
-    /// # Panics
-    /// Panics if no network model is installed.
-    pub fn step_event(&mut self) {
-        assert!(
-            self.net.is_some(),
-            "event-driven stepping requires set_network()"
-        );
-        let period_traffic_before = self.traffic_total;
-        let (now, next) = {
-            let net = self.net.as_ref().expect("network model installed");
+        let bounds = self.net.as_ref().map(|net| {
             (
                 net.boundary(self.period_index),
                 net.boundary(self.period_index + 1),
             )
-        };
-
-        // 0. Stragglers due exactly at this boundary are visible to this
-        //    period's buffer-map exchange and scheduling.
-        self.land_boundary_arrivals(now);
-
-        // 1-3. Identical to the period-lockstep step; the scheduling chunks
-        //      also apply buffer-map and request-leg loss.
+        });
+        if let Some((now, _)) = bounds {
+            self.land_boundary_arrivals(now);
+        }
         self.apply_churn();
         self.emit_segments();
-        self.collect_requests_scratch(false);
-
-        // 4. Transfer resolution at the boundary; grants become in-flight
-        //    messages instead of instant inserts.
-        self.dispatch_deliveries(now);
-
-        // 5. Everything arriving strictly inside this period is the
-        //    delivery list of the fused walk.
-        self.collect_arrivals(next, false);
-
-        // 6. Shard-major fused walk and accounting, as in period mode.
+        self.collect_requests_scratch();
+        self.resolve_transfers();
+        if let Some((now, next)) = bounds {
+            self.dispatch_deliveries(now);
+            self.collect_arrivals(next, false);
+        }
         self.period_index += 1;
         self.apply_and_play_fused();
         self.account_switch_window(period_traffic_before);
         self.update_switch_completion();
     }
 
-    /// The event-mode delivery half: resolves the requests that survived
-    /// the buffer-map and request legs (filtered in the scheduling chunks)
-    /// against the usual budgets, and sends each grant into the in-flight
-    /// store, due after the request and data legs of scaled trace latency
-    /// plus jitter, unless the data leg drops it.
+    /// The event-mode delivery half: sends each grant the resolver made
+    /// from the requests that survived the buffer-map and request legs
+    /// (filtered in the scheduling chunks) into the in-flight store, due
+    /// after the request and data legs of scaled trace latency plus jitter,
+    /// unless the data leg drops it.
     ///
     /// Loss semantics per leg:
     /// * a lost buffer-map advertisement blinds the requester to that
@@ -902,7 +771,6 @@ impl StreamingSystem {
     /// * a lost data message *does* consume the budget the resolver granted
     ///   it — upstream bandwidth spent on a transfer that never lands.
     fn dispatch_deliveries(&mut self, now: SimTime) {
-        self.resolve_transfers();
         let period = self.period_index;
         let net = self.net.as_mut().expect("network model installed");
         let latency = self.overlay.latency();
@@ -1131,96 +999,6 @@ impl StreamingSystem {
         }
     }
 
-    fn advance_playback_and_record(&mut self) {
-        // QoE telemetry reads the playback state machine *after* each peer's
-        // advance — counters only, no RNG, no allocation — so the observed
-        // run is bit-for-bit the unobserved one.  Shared by `step` and
-        // `step_reference`, which keeps the implementations equivalent.
-        let qoe_on = self.qoe.is_enabled();
-        if qoe_on {
-            self.qoe.begin_period(self.period_index);
-        }
-        for p in self.overlay.active_peers() {
-            let mut peer = self.peers.peer_mut(p);
-            let played = peer.advance_playback(&self.config, &self.directory);
-            if qoe_on {
-                let playback = peer.playback();
-                let (started, stalls) = (playback.has_started(), playback.stalls());
-                self.qoe.observe(p as usize, started, stalls, played);
-            }
-        }
-        let switch_waiting = self.record_switch_milestones();
-        if qoe_on {
-            self.qoe.finish_period(switch_waiting);
-        }
-    }
-
-    /// The per-period switch-milestone pass: updates every countable peer's
-    /// milestones, appends the (possibly decimated) ratio sample, and
-    /// returns how many countable peers have not completed the switch yet
-    /// (the QoE switch-progress gauge; 0 outside a switch window).
-    fn record_switch_milestones(&mut self) -> u64 {
-        let Some((old_id, new_id)) = self.switch_sessions else {
-            return 0;
-        };
-        let since_switch = self.secs_since_switch();
-        let old = *self.directory.get(old_id).expect("old session");
-        let new = *self.directory.get(new_id).expect("new session");
-        let old_end = old.last_segment.expect("old session closed at switch");
-        let qs = self.config.new_source_qs;
-
-        let mut undelivered_sum = 0.0;
-        let mut delivered_sum = 0.0;
-        let mut counted = 0usize;
-        let mut waiting = 0u64;
-        for p in self.overlay.active_peers() {
-            let record = &mut self.switch_records[p as usize];
-            if !record.countable() {
-                continue;
-            }
-            let node = self.peers.peer(p);
-
-            if record.s1_finished_secs.is_none() && node.id_play() > old_end {
-                record.s1_finished_secs = Some(since_switch);
-            }
-            if record.s2_prepared_secs.is_none() && node.prepared_for(&new, qs) {
-                record.s2_prepared_secs = Some(since_switch);
-            }
-            if record.s2_started_secs.is_none() && node.id_play() > new.first_segment {
-                record.s2_started_secs = Some(since_switch);
-            }
-            if !record.completed() {
-                waiting += 1;
-            }
-
-            // Ratio tracks (Figures 5 and 9).
-            let q1 = node.undelivered_in_session(&old, old_end);
-            let undelivered_ratio = if record.q0 == 0 {
-                0.0
-            } else {
-                q1 as f64 / record.q0 as f64
-            };
-            let q2 = node.q2_for(&new, qs);
-            let delivered_ratio = (qs - q2) as f64 / qs as f64;
-            undelivered_sum += undelivered_ratio;
-            delivered_sum += delivered_ratio;
-            counted += 1;
-        }
-        if counted > 0 {
-            // Keep-every-k decimation (k = 1 keeps all, byte-identical to
-            // the undecimated report); the first sample is always kept.
-            self.ratio_periods_seen += 1;
-            if (self.ratio_periods_seen - 1).is_multiple_of(self.ratio_keep_every) {
-                self.ratio_samples.push(RatioSample {
-                    secs: since_switch,
-                    undelivered_ratio_s1: undelivered_sum / counted as f64,
-                    delivered_ratio_s2: delivered_sum / counted as f64,
-                });
-            }
-        }
-        waiting
-    }
-
     fn update_switch_completion(&mut self) {
         if self.switch_secs.is_none() || self.switch_completed_secs.is_some() {
             return;
@@ -1258,16 +1036,12 @@ impl StreamingSystem {
     /// parallel writes are disjoint) and builds each scheduling context from
     /// the locally computed post-discovery knowledge.  Discovery writes only
     /// touch the per-peer header — never a buffer — so every gather still
-    /// reads pre-discovery state exactly like the reference implementation.
-    ///
-    /// `write_known` selects when the discovery result lands in the store:
-    /// the phase-major path writes it here (`true`, before any delivery),
-    /// the fused lockstep and event steps defer it to the shard-major
-    /// playback walk (`false`) where the header line is hot anyway.  Both
-    /// orderings are byte-identical because nothing between scheduling and
-    /// the fused walk reads session knowledge (dispatch and the arrival
-    /// drain touch only buffers and the in-flight store).
-    fn collect_requests_scratch(&mut self, write_known: bool) {
+    /// reads pre-discovery state.  The discovery result lands in the store
+    /// in the shard-major fused walk, where the header line is hot anyway;
+    /// nothing between scheduling and that walk reads session knowledge
+    /// (resolution, dispatch and the arrival drain touch only buffers and
+    /// the in-flight store).
+    fn collect_requests_scratch(&mut self) {
         let capacity = self.overlay.graph().capacity();
         let workers = self.worker_count();
         self.scratch.ensure_capacity(capacity, workers);
@@ -1320,18 +1094,6 @@ impl StreamingSystem {
         // Scheduling pass (read-only over peers/overlay/directory; writes
         // only chunk-owned scratch ranges).
         self.run_scheduling_pass();
-
-        // Deferred discovery write for the paths that do not run the fused
-        // playback walk.
-        if write_known {
-            for i in 0..active_len {
-                let p = self.scratch.active[i];
-                let observed = self.scratch.observed_max[i];
-                self.peers
-                    .peer_mut(p)
-                    .discover_sessions(&self.directory, observed);
-            }
-        }
 
         // Merge worker outputs in node order and account control traffic.
         debug_assert!(self.scratch.batches.is_empty());
@@ -1549,31 +1311,24 @@ impl StreamingSystem {
         }
     }
 
-    /// Transfer resolution plus delivery application in resolver order —
-    /// the phase-major pipeline's delivery phase.
-    fn deliver_scratch(&mut self) {
-        self.resolve_transfers();
-        for i in 0..self.scratch.deliveries.len() {
-            let d = self.scratch.deliveries[i];
-            self.peers.buffer_mut(d.requester).insert(d.segment);
-            self.traffic_total.add_data(self.config.segment_bits);
-        }
-    }
-
-    /// The shard-major fused back half of [`step`](Self::step): delivery
-    /// application, discovery write, playback advance, QoE observation and
-    /// switch milestones run back to back per shard run of the active list,
-    /// while that shard's header and buffer columns are cache-resident.
+    /// The shard-major fused back half of [`advance`](Self::advance):
+    /// delivery application, discovery write, playback advance, QoE
+    /// observation and switch milestones run back to back per shard run of
+    /// the active list, while that shard's header and buffer columns are
+    /// cache-resident.
     ///
-    /// Byte-identical to the phase-major ordering because
+    /// Independent of the shard geometry because
     /// * deliveries are regrouped **stably** by destination shard, so each
-    ///   buffer's insert sequence is unchanged (see
+    ///   buffer's insert sequence is the resolver's (see
     ///   [`regroup_by_dest_shard`]),
     /// * playback, discovery and milestones read only the peer's own
     ///   columns plus period-start scratch (`observed_max`), never another
     ///   peer's state, and
     /// * the walk is serial and ascending, so QoE observation order and the
-    ///   f64 milestone accumulation order are exactly the phase-major ones.
+    ///   f64 milestone accumulation order follow the peer ids.
+    // Kept out of line: inlined into its single caller, `advance()`, the
+    // walk measured about 5 % slower (perfbench `zapping_flash`, 2 vCPUs).
+    #[inline(never)]
     fn apply_and_play_fused(&mut self) {
         let qoe_on = self.qoe.is_enabled();
         if qoe_on {
@@ -1715,7 +1470,7 @@ impl StreamingSystem {
                 }
 
                 // Ratio tracks (Figures 5 and 9) — ascending-order f64
-                // accumulation, as in the phase-major milestone pass.
+                // accumulation.
                 let q1 = peer::undelivered_in_session(buffer, id_play, old, *old_end);
                 let undelivered_ratio = if record.q0 == 0 {
                     0.0
@@ -1748,121 +1503,6 @@ impl StreamingSystem {
         }
         if qoe_on {
             self.qoe.finish_period(waiting);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // reference (pre-optimization) period internals
-    // ------------------------------------------------------------------
-
-    fn collect_requests_reference(&mut self) -> Vec<RequestBatch> {
-        let active: Vec<PeerId> = self.overlay.active_peers().collect();
-
-        // Discovery pass: a node learns a new session as soon as any
-        // neighbour (or its own buffer) holds one of its segments.
-        let observed: Vec<(PeerId, SegmentId)> = active
-            .iter()
-            .map(|&p| {
-                let own = self.peers.buffer(p).max_id();
-                let neighbours = self
-                    .overlay
-                    .neighbors(p)
-                    .iter()
-                    .filter_map(|&n| self.peers.buffer(n).max_id())
-                    .max();
-                (
-                    p,
-                    own.into_iter()
-                        .chain(neighbours)
-                        .max()
-                        .unwrap_or(SegmentId(0)),
-                )
-            })
-            .collect();
-        for (p, max_seen) in observed {
-            self.peers
-                .peer_mut(p)
-                .discover_sessions(&self.directory, max_seen);
-        }
-
-        // Scheduling pass (immutable).
-        let mut batches = Vec::with_capacity(active.len());
-        for &p in &active {
-            let neighbours = self.overlay.neighbors(p);
-            if neighbours.is_empty() {
-                continue;
-            }
-            // Buffer-map exchange cost: one 620-bit map per neighbour.
-            self.traffic_total
-                .add_control(self.config.buffermap_bits * neighbours.len() as u64);
-
-            let inbound = self
-                .overlay
-                .attrs(p)
-                .map(|a| a.bandwidth.inbound)
-                .unwrap_or(0.0);
-            if inbound <= 0.0 {
-                continue;
-            }
-            let infos: Vec<NeighborInfo<'_>> = neighbours
-                .iter()
-                .map(|&n| NeighborInfo {
-                    peer: n,
-                    outbound_rate: self
-                        .overlay
-                        .attrs(n)
-                        .map(|a| a.bandwidth.outbound)
-                        .unwrap_or(0.0),
-                    buffer: self.peers.buffer(n),
-                })
-                .collect();
-            let Some(ctx) =
-                self.peers
-                    .peer(p)
-                    .build_context(&self.config, &self.directory, inbound, &infos)
-            else {
-                continue;
-            };
-            let requests = self.scheduler.schedule(&ctx);
-            if requests.is_empty() {
-                continue;
-            }
-            batches.push(RequestBatch {
-                requester: p,
-                inbound_budget: ctx.inbound_budget(),
-                requests,
-            });
-        }
-        batches
-    }
-
-    fn deliver_reference(&mut self, batches: Vec<RequestBatch>) {
-        let tau = self.config.tau_secs;
-        // Outbound budgets out of the dense scratch table, like the
-        // optimized path: this was the last per-period `HashMap` anywhere
-        // in the period loop.
-        self.scratch
-            .ensure_capacity(self.overlay.graph().capacity(), 1);
-        for budget in self.scratch.outbound_budget.iter_mut() {
-            *budget = 0;
-        }
-        for p in self.overlay.active_peers() {
-            let rate = self
-                .overlay
-                .attrs(p)
-                .map(|a| a.bandwidth.outbound)
-                .unwrap_or(0.0);
-            self.scratch.outbound_budget[p as usize] = (rate * tau).floor() as usize;
-        }
-        let outbound_budget = &self.scratch.outbound_budget;
-        let deliveries = self.resolver.resolve_round_reference(
-            &batches,
-            |p| outbound_budget.get(p as usize).copied().unwrap_or(0),
-            self.period_index,
-        );
-        for d in deliveries {
-            self.peers.buffer_mut(d.requester).insert(d.segment);
-            self.traffic_total.add_data(self.config.segment_bits);
         }
     }
 }
@@ -2235,59 +1875,37 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The tentpole invariant: the scratch-arena hot path produces a report
-    /// byte-identical to the original straight-line implementation, across a
-    /// warm-up, a source switch and churn.
-    #[test]
-    fn optimized_step_matches_reference_step() {
-        let run = |optimized: bool| {
-            let mut sys = build_system(60, 11);
-            let (s1, s2) = first_two(&sys);
-            sys.start_initial_source(s1);
-            if optimized {
-                sys.run_periods(30);
-            } else {
-                sys.run_periods_reference(30);
-            }
-            sys.set_churn(ChurnModel::paper_default(5));
-            sys.switch_source(s2);
-            for _ in 0..60 {
-                if optimized {
-                    sys.step();
-                } else {
-                    sys.step_reference();
-                }
-            }
-            sys.report()
-        };
-        let optimized = run(true);
-        let reference = run(false);
-        assert_eq!(optimized, reference);
+    /// Process-stable digest of a report's full `Debug` text (`{:?}` on
+    /// `f64` prints the shortest round-trip form, so it is exact).
+    fn digest(report: &SystemReport) -> u64 {
+        use std::hash::Hasher;
+        let mut h = crate::hasher::FxHasher64::default();
+        h.write(format!("{report:?}").as_bytes());
+        h.finish()
     }
 
-    /// Interleaving the two implementations within one run must also agree:
-    /// every period starts from identical state either way.
+    /// Digest of the warm-up + switch + churn run below, captured from the
+    /// original straight-line reference implementation (which produced the
+    /// same report as the scratch-arena pipeline, byte for byte).
+    const REFERENCE_DIGEST: u64 = 9978038332221076924;
+
+    /// Digest of the 4-shard run below, captured from the reference
+    /// implementation, which never consulted the chunk plan.
+    const SHARDED_REFERENCE_DIGEST: u64 = 11828084830896208951;
+
+    /// The scratch-arena pipeline reproduces the reference implementation's
+    /// report across a warm-up, a source switch and churn.
     #[test]
-    fn implementations_can_interleave() {
-        let mut a = build_system(50, 13);
-        let mut b = build_system(50, 13);
-        let (s1, s2) = first_two(&a);
-        a.start_initial_source(s1);
-        b.start_initial_source(s1);
-        for round in 0..30u64 {
-            if round % 2 == 0 {
-                a.step();
-                b.step_reference();
-            } else {
-                a.step_reference();
-                b.step();
-            }
-            if round == 20 {
-                a.switch_source(s2);
-                b.switch_source(s2);
-            }
-        }
-        assert_eq!(a.report(), b.report());
+    fn optimized_step_matches_reference_step() {
+        let mut sys = build_system(60, 11);
+        let (s1, s2) = first_two(&sys);
+        sys.start_initial_source(s1);
+        sys.run_periods(30);
+        sys.set_churn(ChurnModel::paper_default(5));
+        sys.switch_source(s2);
+        sys.run_periods(60);
+        let report = sys.report();
+        assert_eq!(digest(&report), REFERENCE_DIGEST, "{report:?}");
     }
 
     /// Regression test: recycled request vectors must never strand in worker
@@ -2302,7 +1920,7 @@ mod tests {
         sys.start_initial_source(s1);
         let mut pool_high_water = 0usize;
         for period in 0..60 {
-            sys.step();
+            sys.advance();
             for (w, worker) in sys.scratch.workers.iter().enumerate() {
                 assert!(
                     worker.request_pool.is_empty(),
@@ -2363,58 +1981,6 @@ mod tests {
         for shards in [2, 4, 8] {
             assert_eq!(run(shards), single, "shards = {shards}");
         }
-    }
-
-    /// The fusion oracle: the shard-major fused pipeline and the phase-major
-    /// ordering it replaced produce byte-identical reports across churn, a
-    /// source switch and every shard geometry.  Routed through `advance()`
-    /// so the `set_phase_major` dispatch is covered too.
-    #[test]
-    fn fused_step_matches_phase_major() {
-        let run = |fused: bool, shards: usize| {
-            let mut sys = build_system(80, 31);
-            sys.set_shards(shards);
-            sys.set_phase_major(!fused);
-            let (s1, s2) = first_two(&sys);
-            sys.start_initial_source(s1);
-            sys.run_periods(25);
-            sys.set_churn(ChurnModel::paper_default(5));
-            sys.switch_source(s2);
-            sys.run_periods(45);
-            sys.report()
-        };
-        for shards in [1, 2, 4, 8] {
-            assert_eq!(run(true, shards), run(false, shards), "shards = {shards}");
-        }
-    }
-
-    /// Interleaving fused and phase-major periods within one run must agree
-    /// as well: every period leaves identical state either way (the
-    /// deferred discovery write of the fused path is invisible between
-    /// periods).
-    #[test]
-    fn fused_and_phase_major_interleave() {
-        let mut a = build_system(50, 37);
-        let mut b = build_system(50, 37);
-        a.set_shards(4);
-        b.set_shards(4);
-        let (s1, s2) = first_two(&a);
-        a.start_initial_source(s1);
-        b.start_initial_source(s1);
-        for round in 0..30u64 {
-            if round % 2 == 0 {
-                a.step();
-                b.step_phase_major();
-            } else {
-                a.step_phase_major();
-                b.step();
-            }
-            if round == 20 {
-                a.switch_source(s2);
-                b.switch_source(s2);
-            }
-        }
-        assert_eq!(a.report(), b.report());
     }
 
     /// Satellite: cost-balanced chunk splitting.  A densely populated shard
@@ -2483,34 +2049,20 @@ mod tests {
         assert_eq!(sys.scratch.chunks.len(), 4, "{:?}", sys.scratch.chunks);
     }
 
-    /// Sharded stepping must also agree with the straight-line reference
-    /// implementation (which never consults the chunk plan).
+    /// Sharded stepping reproduces the reference implementation's report
+    /// too.
     #[test]
     fn sharded_step_matches_reference_step() {
-        let run = |optimized: bool| {
-            let mut sys = build_system(90, 29);
-            sys.set_shards(4);
-            let (s1, s2) = first_two(&sys);
-            sys.start_initial_source(s1);
-            for _ in 0..30 {
-                if optimized {
-                    sys.step();
-                } else {
-                    sys.step_reference();
-                }
-            }
-            sys.set_churn(ChurnModel::paper_default(7));
-            sys.switch_source(s2);
-            for _ in 0..40 {
-                if optimized {
-                    sys.step();
-                } else {
-                    sys.step_reference();
-                }
-            }
-            sys.report()
-        };
-        assert_eq!(run(true), run(false));
+        let mut sys = build_system(90, 29);
+        sys.set_shards(4);
+        let (s1, s2) = first_two(&sys);
+        sys.start_initial_source(s1);
+        sys.run_periods(30);
+        sys.set_churn(ChurnModel::paper_default(7));
+        sys.switch_source(s2);
+        sys.run_periods(40);
+        let report = sys.report();
+        assert_eq!(digest(&report), SHARDED_REFERENCE_DIGEST, "{report:?}");
     }
 
     #[test]
@@ -2627,7 +2179,7 @@ mod tests {
         check(&sys);
         sys.set_churn(ChurnModel::paper_default(3));
         for _ in 0..15 {
-            sys.step();
+            sys.advance();
             check(&sys);
         }
         // Batched zap traffic keeps the view in sync too.
@@ -2668,7 +2220,7 @@ mod tests {
         });
         sys.set_churn(ChurnModel::paper_default(9));
         for _ in 0..20 {
-            sys.step();
+            sys.advance();
             let view = sys.membership_view();
             assert_eq!(view.len(), sys.overlay().active_count());
             assert!(view.candidates().len() <= 12);
@@ -2763,7 +2315,7 @@ mod tests {
         let mut begins = 0u64;
         let mut ends = 0u64;
         let step = |sys: &mut StreamingSystem, begins: &mut u64, ends: &mut u64| {
-            sys.step();
+            sys.advance();
             let row = *sys.qoe().latest().unwrap();
             *begins += row.stall_begins;
             *ends += row.stall_ends;
@@ -2923,25 +2475,6 @@ mod tests {
             stats.data_sent,
             stats.data_delivered + stats.data_stale + sys.network().unwrap().in_flight() as u64
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "use advance()/step_event()")]
-    fn period_step_refuses_to_strand_in_flight_messages() {
-        let mut sys = build_system(40, 0x5151);
-        let source = sys.overlay().active_peers().next().unwrap();
-        sys.set_network(NetworkConfig::ideal());
-        sys.start_initial_source(source);
-        sys.step();
-    }
-
-    #[test]
-    #[should_panic(expected = "event-driven stepping requires")]
-    fn event_step_requires_a_network_model() {
-        let mut sys = build_system(40, 0x5152);
-        let source = sys.overlay().active_peers().next().unwrap();
-        sys.start_initial_source(source);
-        sys.step_event();
     }
 
     #[test]

@@ -28,16 +28,13 @@
 //! the ROADMAP.  Out-of-order or duplicate-requester inputs (possible
 //! through the public API, never produced by the system) fall back to the
 //! comparison sort.  All buffers are retained across calls, so steady-state
-//! resolution performs no heap allocation.
-//! [`TransferResolver::resolve_round_reference`] keeps the original
-//! map-based implementation; the test-suite asserts both produce identical
-//! deliveries.
+//! resolution performs no heap allocation.  The original map-based
+//! implementation survives in the test module as the model the resolver's
+//! unit and property tests compare against.
 
-use crate::hasher::FxHashSet;
 use crate::scheduler::SegmentRequest;
 use crate::segment::SegmentId;
 use fss_overlay::PeerId;
-use std::collections::{BTreeMap, VecDeque};
 
 /// The requests one node issues in one period.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -382,97 +379,6 @@ impl TransferResolver {
             }
         }
     }
-
-    /// The original map-based implementation, kept as the behavioural
-    /// reference: the optimized path must produce byte-identical deliveries.
-    /// Used by `StreamingSystem::step_reference` and the equivalence tests.
-    pub fn resolve_round_reference<F>(
-        &self,
-        batches: &[RequestBatch],
-        outbound_budget: F,
-        round: u64,
-    ) -> Vec<DeliveredSegment>
-    where
-        F: Fn(PeerId) -> usize,
-    {
-        // Per-supplier queues: supplier -> requester -> pending segments in
-        // priority order.  BTreeMaps keep iteration deterministic.
-        let mut queues: BTreeMap<PeerId, BTreeMap<PeerId, VecDeque<SegmentId>>> = BTreeMap::new();
-        let mut duplicate_guard: FxHashSet<(PeerId, SegmentId)> = FxHashSet::default();
-
-        for batch in batches {
-            for req in batch.requests.iter().take(batch.inbound_budget) {
-                if duplicate_guard.insert((batch.requester, req.segment)) {
-                    queues
-                        .entry(req.supplier)
-                        .or_default()
-                        .entry(batch.requester)
-                        .or_default()
-                        .push_back(req.segment);
-                }
-            }
-        }
-
-        let mut deliveries = Vec::new();
-        for (supplier, mut per_requester) in queues {
-            let per_supplier_budget = outbound_budget(supplier);
-            if self.model == CapacityModel::PerLink {
-                // Each link is independently capped at the supplier's rate.
-                for (requester, queue) in per_requester {
-                    for segment in queue.into_iter().take(per_supplier_budget) {
-                        deliveries.push(DeliveredSegment {
-                            requester,
-                            supplier,
-                            segment,
-                        });
-                    }
-                }
-                continue;
-            }
-            let mut budget = per_supplier_budget;
-            // Fixed rotation of the requester order for this supplier and
-            // round, so scarcity is shared fairly across periods.
-            let initial: Vec<PeerId> = per_requester.keys().copied().collect();
-            let offset = if initial.is_empty() {
-                0
-            } else {
-                (round as usize).wrapping_add(supplier as usize) % initial.len()
-            };
-            // Round-robin over requesters until the budget or the queues run
-            // out.
-            while budget > 0 {
-                let mut progressed = false;
-                let mut requesters: Vec<PeerId> = per_requester.keys().copied().collect();
-                if !requesters.is_empty() {
-                    let k = offset % requesters.len();
-                    requesters.rotate_left(k);
-                }
-                for requester in requesters {
-                    if budget == 0 {
-                        break;
-                    }
-                    if let Some(queue) = per_requester.get_mut(&requester) {
-                        if let Some(segment) = queue.pop_front() {
-                            deliveries.push(DeliveredSegment {
-                                requester,
-                                supplier,
-                                segment,
-                            });
-                            budget -= 1;
-                            progressed = true;
-                        }
-                        if queue.is_empty() {
-                            per_requester.remove(&requester);
-                        }
-                    }
-                }
-                if !progressed {
-                    break;
-                }
-            }
-        }
-        deliveries
-    }
 }
 
 /// Stable counting sort of `deliveries` into `out`, bucketed by destination
@@ -528,6 +434,102 @@ pub fn regroup_by_dest_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hasher::FxHashSet;
+    use std::collections::{BTreeMap, VecDeque};
+
+    impl TransferResolver {
+        /// The original map-based implementation, kept as the model the
+        /// optimized resolver must match delivery for delivery (it also covers
+        /// the comparison-sort fallback that system runs never reach).
+        fn resolve_round_reference<F>(
+            &self,
+            batches: &[RequestBatch],
+            outbound_budget: F,
+            round: u64,
+        ) -> Vec<DeliveredSegment>
+        where
+            F: Fn(PeerId) -> usize,
+        {
+            // Per-supplier queues: supplier -> requester -> pending segments in
+            // priority order.  BTreeMaps keep iteration deterministic.
+            let mut queues: BTreeMap<PeerId, BTreeMap<PeerId, VecDeque<SegmentId>>> =
+                BTreeMap::new();
+            let mut duplicate_guard: FxHashSet<(PeerId, SegmentId)> = FxHashSet::default();
+
+            for batch in batches {
+                for req in batch.requests.iter().take(batch.inbound_budget) {
+                    if duplicate_guard.insert((batch.requester, req.segment)) {
+                        queues
+                            .entry(req.supplier)
+                            .or_default()
+                            .entry(batch.requester)
+                            .or_default()
+                            .push_back(req.segment);
+                    }
+                }
+            }
+
+            let mut deliveries = Vec::new();
+            for (supplier, mut per_requester) in queues {
+                let per_supplier_budget = outbound_budget(supplier);
+                if self.model == CapacityModel::PerLink {
+                    // Each link is independently capped at the supplier's rate.
+                    for (requester, queue) in per_requester {
+                        for segment in queue.into_iter().take(per_supplier_budget) {
+                            deliveries.push(DeliveredSegment {
+                                requester,
+                                supplier,
+                                segment,
+                            });
+                        }
+                    }
+                    continue;
+                }
+                let mut budget = per_supplier_budget;
+                // Fixed rotation of the requester order for this supplier and
+                // round, so scarcity is shared fairly across periods.
+                let initial: Vec<PeerId> = per_requester.keys().copied().collect();
+                let offset = if initial.is_empty() {
+                    0
+                } else {
+                    (round as usize).wrapping_add(supplier as usize) % initial.len()
+                };
+                // Round-robin over requesters until the budget or the queues run
+                // out.
+                while budget > 0 {
+                    let mut progressed = false;
+                    let mut requesters: Vec<PeerId> = per_requester.keys().copied().collect();
+                    if !requesters.is_empty() {
+                        let k = offset % requesters.len();
+                        requesters.rotate_left(k);
+                    }
+                    for requester in requesters {
+                        if budget == 0 {
+                            break;
+                        }
+                        if let Some(queue) = per_requester.get_mut(&requester) {
+                            if let Some(segment) = queue.pop_front() {
+                                deliveries.push(DeliveredSegment {
+                                    requester,
+                                    supplier,
+                                    segment,
+                                });
+                                budget -= 1;
+                                progressed = true;
+                            }
+                            if queue.is_empty() {
+                                per_requester.remove(&requester);
+                            }
+                        }
+                    }
+                    if !progressed {
+                        break;
+                    }
+                }
+            }
+            deliveries
+        }
+    }
 
     fn req(segment: u64, supplier: PeerId) -> SegmentRequest {
         SegmentRequest {

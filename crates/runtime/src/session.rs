@@ -753,17 +753,6 @@ impl SessionManager {
         }
     }
 
-    /// Switches every channel to the phase-major period pipeline (the
-    /// pre-fusion phase ordering) instead of the default shard-major fused
-    /// one.  Reports are byte-identical either way — pinned by the fused
-    /// equivalence suite; the knob exists as the fusion oracle and for the
-    /// `locality` bench lanes, and is kept for one release.
-    pub fn set_phase_major(&mut self, on: bool) {
-        for channel in &mut self.channels {
-            channel.system.set_phase_major(on);
-        }
-    }
-
     /// Runs `n` warm-up periods with the zapping workload disabled, letting
     /// every channel reach steady playback first.  Channels are fully
     /// independent here, so they advance in one unsynchronised pool job.

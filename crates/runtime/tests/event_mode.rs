@@ -7,7 +7,8 @@
 //!    period-lockstep golden digests of `golden_report.rs` byte for byte.
 //!    The event core is a strict generalisation: at the ideal point every
 //!    grant arrives at the boundary that resolved it, in resolver order,
-//!    and no fault stream is ever sampled.
+//!    and no fault stream is ever sampled.  Beyond the pins, ideal event
+//!    runs equal lockstep runs report for report on every shard count.
 //!
 //! 2. **Faulty-run determinism** — a lossy, delayed, jittered run is itself
 //!    digest-pinned and byte-identical across pool sizes {1, 2, 4, 7} ×
@@ -15,64 +16,14 @@
 //!    jitter draws are stateless hashes (no RNG cursor), so no execution
 //!    interleaving can perturb them.
 
+mod common;
+
+use common::{fx_digest, legacy_surface, qoe_surface};
 use fss_core::FastSwitchScheduler;
 use fss_overlay::NetworkConfig;
 use fss_runtime::zap::{CrowdZap, Storm};
 use fss_runtime::{RuntimeReport, SessionConfig, SessionManager, SteppingMode, WorkerPool};
-use std::hash::Hasher;
 use std::sync::Arc;
-
-/// FxHash-style digest (deterministic across processes, unlike the std
-/// `RandomState`).  Mirrors `fss_gossip::hasher::FxHasher64`.
-fn fx_digest(text: &str) -> u64 {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    struct Fx(u64);
-    impl Hasher for Fx {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 = (self.0.rotate_left(5) ^ b as u64).wrapping_mul(SEED);
-            }
-        }
-    }
-    let mut h = Fx(0);
-    h.write(text.as_bytes());
-    h.finish()
-}
-
-/// The pre-directory report surface `golden_report.rs` pins.
-fn legacy_surface(report: &RuntimeReport) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    write!(s, "periods={} workload={}", report.periods, report.workload).unwrap();
-    for c in &report.channels {
-        write!(
-            s,
-            " | ch{} viewers={} periods={} traffic={:?} in={} out={} lat={:?}",
-            c.channel, c.viewers, c.periods, c.traffic, c.zaps_in, c.zaps_out, c.zap_latency
-        )
-        .unwrap();
-    }
-    write!(
-        s,
-        " | cross={:?} load={:?} mem={:?}",
-        report.cross_channel_zaps, report.zap_load, report.mem
-    )
-    .unwrap();
-    s
-}
-
-/// The streaming-QoE telemetry surface `golden_report.rs` pins.
-fn qoe_surface(report: &RuntimeReport) -> String {
-    format!(
-        "qoe={:?} depth={:?} card={}",
-        report.qoe_timeline,
-        report.queue_depth,
-        report.scorecard.to_text()
-    )
-}
 
 /// Mirrors `golden_report::run`, with a network model installed.
 fn run_golden(
@@ -159,6 +110,40 @@ fn ideal_event_mode_reproduces_the_churn_storm_pipelined_pins() {
         QOE_CHURN_STORM_PIPELINED,
         "ideal event mode perturbed the QoE telemetry surface"
     );
+}
+
+/// The seed-13 churn + storm scenario (4 channels, admission open) with an
+/// optional network model on a `shards`-shard store.
+fn run_churn_storm(shards: usize, network: Option<NetworkConfig>) -> RuntimeReport {
+    let config = SessionConfig {
+        seed: 13,
+        network,
+        ..SessionConfig::paper_default(4, 40)
+    };
+    let pool = Arc::new(WorkerPool::new(3));
+    let mut m = SessionManager::new(config, pool, || Box::new(FastSwitchScheduler::new()));
+    m.set_zap_schedule(Box::new(
+        CrowdZap::zipf(4, 40, config.zap_fraction, 1.2, 13).with_storms(vec![Storm {
+            at: 32,
+            target: 1,
+            size: 25,
+        }]),
+    ));
+    m.enable_channel_churn(5);
+    m.set_shards(shards);
+    m.warmup(25);
+    m.run_periods(30);
+    m.report()
+}
+
+#[test]
+fn ideal_event_mode_matches_lockstep_across_shards() {
+    let lockstep = run_churn_storm(1, None);
+    assert!(lockstep.total_zaps() > 0);
+    for &shards in &[1usize, 2, 4, 8] {
+        let event = run_churn_storm(shards, Some(NetworkConfig::ideal()));
+        assert_eq!(event, lockstep, "ideal event vs lockstep, shards={shards}");
+    }
 }
 
 /// A faulty network that exercises every code path: 12% per-message loss,

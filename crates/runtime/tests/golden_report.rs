@@ -13,66 +13,13 @@
 //! new additive metrics (e.g. the admission summary) are deliberately
 //! excluded so they can evolve without invalidating the pin.
 
+mod common;
+
+use common::{fx_digest, legacy_surface, qoe_surface};
 use fss_core::FastSwitchScheduler;
 use fss_runtime::zap::{CrowdZap, Storm};
 use fss_runtime::{RuntimeReport, SessionConfig, SessionManager, SteppingMode, WorkerPool};
-use std::hash::Hasher;
 use std::sync::Arc;
-
-/// FxHash-style digest (deterministic across processes, unlike the std
-/// `RandomState`).  Mirrors `fss_gossip::hasher::FxHasher64`.
-fn fx_digest(text: &str) -> u64 {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    struct Fx(u64);
-    impl Hasher for Fx {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 = (self.0.rotate_left(5) ^ b as u64).wrapping_mul(SEED);
-            }
-        }
-    }
-    let mut h = Fx(0);
-    h.write(text.as_bytes());
-    h.finish()
-}
-
-/// Formats the pre-refactor report surface.  `{:?}` on `f64` prints the
-/// shortest round-trip representation, so the digest is exact, not rounded.
-fn legacy_surface(report: &RuntimeReport) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    write!(s, "periods={} workload={}", report.periods, report.workload).unwrap();
-    for c in &report.channels {
-        write!(
-            s,
-            " | ch{} viewers={} periods={} traffic={:?} in={} out={} lat={:?}",
-            c.channel, c.viewers, c.periods, c.traffic, c.zaps_in, c.zaps_out, c.zap_latency
-        )
-        .unwrap();
-    }
-    write!(
-        s,
-        " | cross={:?} load={:?} mem={:?}",
-        report.cross_channel_zaps, report.zap_load, report.mem
-    )
-    .unwrap();
-    s
-}
-
-/// The streaming-QoE telemetry surface (bounded timelines + scorecard),
-/// pinned separately from the legacy surface so the pre-directory digests
-/// above stay valid while the telemetry layer gets its own drift guard.
-fn qoe_surface(report: &RuntimeReport) -> String {
-    format!(
-        "qoe={:?} depth={:?} card={}",
-        report.qoe_timeline,
-        report.queue_depth,
-        report.scorecard.to_text()
-    )
-}
 
 fn run(channels: usize, seed: u64, mode: SteppingMode, churn: bool, storms: bool) -> RuntimeReport {
     let config = SessionConfig {

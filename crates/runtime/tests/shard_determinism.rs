@@ -10,58 +10,15 @@
 //! additionally pins the report digest so a shard-dependent result cannot
 //! sneak in together with a compensating test update.
 
+mod common;
+
+use common::{fx_digest, qoe_surface, surface};
 use fss_core::FastSwitchScheduler;
 use fss_runtime::zap::{CrowdZap, Storm};
 use fss_runtime::{
     AdmissionControl, RuntimeReport, SessionConfig, SessionManager, SteppingMode, WorkerPool,
 };
-use std::hash::Hasher;
 use std::sync::Arc;
-
-/// FxHash-style digest (deterministic across processes, unlike the std
-/// `RandomState`).  Mirrors `fss_gossip::hasher::FxHasher64`.
-fn fx_digest(text: &str) -> u64 {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    struct Fx(u64);
-    impl Hasher for Fx {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 = (self.0.rotate_left(5) ^ b as u64).wrapping_mul(SEED);
-            }
-        }
-    }
-    let mut h = Fx(0);
-    h.write(text.as_bytes());
-    h.finish()
-}
-
-/// The full report surface, admission metrics included (this sweep exists
-/// to exercise the rate-limited admission path under sharding).  `{:?}` on
-/// `f64` prints the shortest round-trip representation, so the digest is
-/// exact, not rounded.
-fn surface(report: &RuntimeReport, timeline: &[(u64, usize)]) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    write!(s, "periods={} workload={}", report.periods, report.workload).unwrap();
-    for c in &report.channels {
-        write!(
-            s,
-            " | ch{} viewers={} periods={} traffic={:?} in={} out={} lat={:?}",
-            c.channel, c.viewers, c.periods, c.traffic, c.zaps_in, c.zaps_out, c.zap_latency
-        )
-        .unwrap();
-    }
-    write!(
-        s,
-        " | cross={:?} load={:?} mem={:?} adm={:?} q={timeline:?}",
-        report.cross_channel_zaps, report.zap_load, report.mem, report.admission
-    )
-    .unwrap();
-    s
-}
 
 fn run(shards: usize, workers: usize, mode: SteppingMode) -> (RuntimeReport, Vec<(u64, usize)>) {
     let config = SessionConfig {
@@ -98,17 +55,6 @@ const PINNED_DIGEST: u64 = 17188237993819082087;
 /// (bounded timelines + scorecard), pinned separately so the legacy pin
 /// above keeps its pre-telemetry value.
 const QOE_PINNED_DIGEST: u64 = 17697973354510269892;
-
-/// The telemetry surface of one report: the folded QoE / queue-depth
-/// timelines and the scorecard's exact text form.
-fn qoe_surface(report: &RuntimeReport) -> String {
-    format!(
-        "qoe={:?} depth={:?} card={}",
-        report.qoe_timeline,
-        report.queue_depth,
-        report.scorecard.to_text()
-    )
-}
 
 #[test]
 fn reports_are_byte_identical_across_shard_counts_and_pool_sizes() {

@@ -1,18 +1,36 @@
 //! Hot-path equivalence: the zero-allocation scratch-arena period loop (and,
-//! when enabled, its parallel scheduling sweep) must produce a `SystemReport`
-//! identical to the original straight-line reference implementation on a
-//! seeded churn scenario with the paper's schedulers.
+//! when enabled, its parallel scheduling sweep) must reproduce the
+//! `SystemReport` of the original straight-line reference implementation on
+//! a seeded churn scenario with the paper's schedulers.  The reference
+//! reports are pinned as digests captured from that implementation.
 
 use fast_source_switching::core::{FastSwitchScheduler, NormalSwitchScheduler};
 use fast_source_switching::gossip::{
     GossipConfig, SegmentScheduler, StreamingSystem, SystemReport,
 };
 use fast_source_switching::overlay::{ChurnModel, OverlayBuilder, PeerId};
+use fast_source_switching::sim::hasher::FxHasher64;
 use fast_source_switching::trace::{GeneratorConfig, TraceGenerator};
+use std::hash::Hasher;
+
+/// Digest of the Fast-scheduler report, captured from the reference
+/// implementation.
+const FAST_REFERENCE_DIGEST: u64 = 17940517717451153860;
+
+/// Digest of the Normal-scheduler report, captured from the reference
+/// implementation.  No other pin covers `NormalSwitchScheduler`.
+const NORMAL_REFERENCE_DIGEST: u64 = 4853517735897642489;
+
+/// Process-stable digest of a report's full `Debug` text (`{:?}` on `f64`
+/// prints the shortest round-trip form, so it is exact).
+fn digest(report: &SystemReport) -> u64 {
+    let mut h = FxHasher64::default();
+    h.write(format!("{report:?}").as_bytes());
+    h.finish()
+}
 
 #[derive(Clone, Copy, PartialEq)]
 enum Path {
-    Reference,
     Optimized,
     /// Chunked scheduling sweep without an executor (in-line chunks).
     #[allow(dead_code)]
@@ -42,42 +60,32 @@ fn run_churn_scenario(scheduler: Box<dyn SegmentScheduler>, path: Path) -> Syste
                 std::sync::Arc::new(fast_source_switching::runtime::WorkerPool::new(workers));
             sys.set_executor(pool.as_executor());
         }
-        Path::Reference | Path::Optimized => {}
+        Path::Optimized => {}
     }
-    let step = |sys: &mut StreamingSystem| match path {
-        Path::Reference => sys.step_reference(),
-        Path::Optimized | Path::Parallel(_) | Path::Pool { .. } => sys.step(),
-    };
 
     sys.start_initial_source(s1);
-    for _ in 0..40 {
-        step(&mut sys);
-    }
+    sys.run_periods(40);
     sys.set_churn(ChurnModel::paper_default(7));
     sys.switch_source(s2);
-    for _ in 0..120 {
-        step(&mut sys);
-    }
+    sys.run_periods(120);
     sys.report()
 }
 
 #[test]
 fn fast_scheduler_optimized_matches_reference_under_churn() {
-    let reference = run_churn_scenario(Box::new(FastSwitchScheduler::new()), Path::Reference);
     let optimized = run_churn_scenario(Box::new(FastSwitchScheduler::new()), Path::Optimized);
-    assert_eq!(optimized, reference);
+    assert_eq!(digest(&optimized), FAST_REFERENCE_DIGEST, "{optimized:?}");
     // The scenario is meaningful: the switch actually completed and traffic
     // flowed.
-    assert!(reference.switch_completed_secs.is_some());
-    assert!(reference.traffic_total.data_bits > 0);
-    assert!(!reference.ratio_samples.is_empty());
+    assert!(optimized.switch_completed_secs.is_some());
+    assert!(optimized.traffic_total.data_bits > 0);
+    assert!(!optimized.ratio_samples.is_empty());
 }
 
 #[test]
 fn normal_scheduler_optimized_matches_reference_under_churn() {
-    let reference = run_churn_scenario(Box::new(NormalSwitchScheduler::new()), Path::Reference);
     let optimized = run_churn_scenario(Box::new(NormalSwitchScheduler::new()), Path::Optimized);
-    assert_eq!(optimized, reference);
+    assert_eq!(digest(&optimized), NORMAL_REFERENCE_DIGEST, "{optimized:?}");
 }
 
 #[cfg(feature = "parallel")]
@@ -96,7 +104,7 @@ fn parallel_sweep_matches_sequential_under_churn() {
 /// The pool determinism guarantee: the scheduling sweep dispatched onto the
 /// persistent worker pool produces byte-identical reports for every pool
 /// size — 1 (in-line), 2, 4 and 7 workers — under churn, and matches the
-/// sequential and reference paths.
+/// sequential path (itself pinned to the reference digest above).
 #[cfg(feature = "parallel")]
 #[test]
 fn pool_backed_sweep_is_byte_identical_across_pool_sizes() {

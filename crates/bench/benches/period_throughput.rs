@@ -7,9 +7,9 @@
 //! * `optimized_period` — the scratch-arena pipeline: zero steady-state
 //!   allocation, dense PeerId indexing, word-level bitset candidate
 //!   intersection;
-//! * `optimized_period_1k_pool*` (with `--features parallel`) — the same
-//!   pipeline with the scheduling sweep dispatched onto the persistent
-//!   `fss-runtime` worker pool (no thread spawns per period);
+//! * `optimized_period_1k_pool*` — the same pipeline with the scheduling
+//!   sweep dispatched onto the persistent `fss-runtime` worker pool (no
+//!   thread spawns per period);
 //! * `mem/*` — the per-peer footprint meter on the same steady system:
 //!   prints steady-state bytes/peer (compact vs legacy layout) and times
 //!   one full meter sweep;
@@ -81,23 +81,20 @@ fn bench_period_throughput(c: &mut Criterion) {
     let mut sys = steady_system(1);
     group.bench_function("optimized_period_1k", |b| b.iter(|| sys.advance()));
 
-    #[cfg(feature = "parallel")]
-    {
-        let workers = std::thread::available_parallelism().map_or(2, |n| n.get());
-        let pool = std::sync::Arc::new(fss_runtime::WorkerPool::new(workers));
-        let mut sys = steady_system(1);
-        sys.set_parallelism(workers);
-        sys.set_executor(pool.as_executor());
-        group.bench_function("optimized_period_1k_pool", |b| b.iter(|| sys.advance()));
+    let workers = std::thread::available_parallelism().map_or(2, |n| n.get());
+    let pool = std::sync::Arc::new(fss_runtime::WorkerPool::new(workers));
+    let mut sys = steady_system(1);
+    sys.set_parallelism(workers);
+    sys.set_executor(pool.as_executor());
+    group.bench_function("optimized_period_1k_pool", |b| b.iter(|| sys.advance()));
 
-        // A deliberately oversubscribed pool (4 workers regardless of vCPUs)
-        // bounds the dispatch overhead the persistent pool adds per period.
-        let pool = std::sync::Arc::new(fss_runtime::WorkerPool::new(4));
-        let mut sys = steady_system(1);
-        sys.set_parallelism(4);
-        sys.set_executor(pool.as_executor());
-        group.bench_function("optimized_period_1k_pool4", |b| b.iter(|| sys.advance()));
-    }
+    // A deliberately oversubscribed pool (4 workers regardless of vCPUs)
+    // bounds the dispatch overhead the persistent pool adds per period.
+    let pool = std::sync::Arc::new(fss_runtime::WorkerPool::new(4));
+    let mut sys = steady_system(1);
+    sys.set_parallelism(4);
+    sys.set_executor(pool.as_executor());
+    group.bench_function("optimized_period_1k_pool4", |b| b.iter(|| sys.advance()));
 
     group.finish();
 }

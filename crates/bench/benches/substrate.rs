@@ -27,14 +27,6 @@ fn bench_buffer(c: &mut Criterion) {
     });
 
     let buffer = full_buffer();
-    let wanted: Vec<SegmentId> = (0..100).map(|i| SegmentId(1_000 + i * 6)).collect();
-    group.bench_function("positions_of_100", |b| {
-        b.iter(|| buffer.positions_of(black_box(&wanted)))
-    });
-    group.bench_function("missing_in_range_600", |b| {
-        b.iter(|| buffer.missing_in_range(SegmentId(1_000), SegmentId(1_599)))
-    });
-
     group.bench_function("buffermap_build_and_encode", |b| {
         b.iter(|| BufferMap::from_buffer(&buffer, 600).encode())
     });

@@ -74,7 +74,6 @@ fn allocations() -> u64 {
 }
 
 /// Allocations made so far by every thread (exact only under [`serial`]).
-#[cfg(feature = "parallel")]
 fn process_allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
@@ -212,9 +211,9 @@ fn steady_state_zap_batch_resolution_does_not_allocate() {
 
 /// The sharded struct-of-arrays store keeps the guarantee: with the peer
 /// columns split over multiple shards the scheduling pass runs one chunk
-/// per shard (serially without the `parallel` feature), and the chunk plan
-/// lives in the pooled `PeriodScratch` — steady-state periods still touch
-/// the heap zero times.
+/// per shard (in-line without an executor), and the chunk plan lives in the
+/// pooled `PeriodScratch` — steady-state periods still touch the heap zero
+/// times.
 #[test]
 fn sharded_steady_state_period_loop_does_not_allocate() {
     let _serial = serial();
@@ -434,7 +433,6 @@ fn sorted_sample_quantile_does_not_allocate_per_call() {
 ///
 /// This test reads the process-wide count, so a worker-side allocation
 /// would fail it too (workers park and unpark on futexes, no heap).
-#[cfg(feature = "parallel")]
 #[test]
 fn steady_state_pool_parallel_period_loop_does_not_allocate() {
     let _serial = serial();

@@ -11,7 +11,7 @@
 //! [`ScopedJob`]: fss_sim::ScopedJob
 
 use crate::runner::{run_scenario, ComparisonResult, RunResult};
-use crate::scenario::{Algorithm, Environment, ScenarioConfig};
+use crate::scenario::{Algorithm, ScenarioConfig};
 use fss_runtime::WorkerPool;
 use fss_sim::exec::DisjointSlots;
 
@@ -109,15 +109,10 @@ pub const PAPER_SIZES: [usize; 6] = [100, 500, 1_000, 2_000, 4_000, 8_000];
 /// A reduced size sweep for quick runs, preserving the ordering of scales.
 pub const QUICK_SIZES: [usize; 3] = [100, 250, 500];
 
-/// Convenience: a paper-parameter sweep for one environment.
-pub fn paper_sweep(environment: Environment) -> Vec<SweepPoint> {
-    let base = ScenarioConfig::paper(PAPER_SIZES[0], Algorithm::Fast, environment);
-    sweep_sizes(&PAPER_SIZES, &base)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Environment;
 
     #[test]
     fn sweep_orders_results_by_size_and_pairs_algorithms() {

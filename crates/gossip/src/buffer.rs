@@ -409,15 +409,6 @@ impl FifoBuffer {
     }
     // fss-lint: end
 
-    /// Positions of many segments at once.
-    /// The result aligns with `segments`; `None` marks absent segments.
-    pub fn positions_of(&self, segments: &[SegmentId]) -> Vec<Option<usize>> {
-        segments
-            .iter()
-            .map(|&s| self.position_from_tail(s))
-            .collect()
-    }
-
     /// Iterator over held segment ids in ascending id order (no allocation:
     /// walks the availability words).
     pub fn ids(&self) -> impl Iterator<Item = SegmentId> + '_ {
@@ -464,17 +455,6 @@ impl FifoBuffer {
             word_base += 64;
         }
         count
-    }
-
-    /// Ids in `[from, to]` (inclusive) that are **not** held.
-    pub fn missing_in_range(&self, from: SegmentId, to: SegmentId) -> Vec<SegmentId> {
-        if to < from {
-            return Vec::new();
-        }
-        (from.value()..=to.value())
-            .map(SegmentId)
-            .filter(|&id| !self.contains(id))
-            .collect()
     }
 
     /// Length of the run of consecutively held segments starting at `from`.
@@ -593,9 +573,6 @@ mod tests {
         assert_eq!(b.position_from_tail(SegmentId(4)), Some(1));
         assert_eq!(b.position_from_tail(SegmentId(0)), Some(5));
         assert_eq!(b.position_from_tail(SegmentId(9)), None);
-
-        let positions = b.positions_of(&ids(&[4, 0, 2, 99]));
-        assert_eq!(positions, vec![Some(1), Some(5), Some(3), None]);
     }
 
     #[test]
@@ -611,13 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn positions_of_empty_query() {
-        let b = FifoBuffer::new(4);
-        assert!(b.positions_of(&[]).is_empty());
-        assert_eq!(b.positions_of(&ids(&[1])), vec![None]);
-    }
-
-    #[test]
     fn range_queries() {
         let mut b = FifoBuffer::new(10);
         for i in [1u64, 2, 3, 6, 7] {
@@ -627,8 +597,6 @@ mod tests {
         assert_eq!(b.count_in_range(SegmentId(4), SegmentId(5)), 0);
         assert_eq!(b.count_in_range(SegmentId(7), SegmentId(1)), 0);
         assert_eq!(b.count_in_range(SegmentId(0), SegmentId(1_000_000)), 5);
-        assert_eq!(b.missing_in_range(SegmentId(1), SegmentId(7)), ids(&[4, 5]));
-        assert_eq!(b.missing_in_range(SegmentId(8), SegmentId(7)), ids(&[]));
         assert_eq!(b.contiguous_run_from(SegmentId(1)), 3);
         assert_eq!(b.contiguous_run_from(SegmentId(6)), 2);
         assert_eq!(b.contiguous_run_from(SegmentId(4)), 0);
@@ -1043,11 +1011,12 @@ mod tests {
                 .into_iter()
                 .chain((0..50).map(|i| SegmentId(i * 97)))
                 .collect();
-            let expected: Vec<Option<usize>> = probe
-                .iter()
-                .map(|&s| naive.position_from_tail(s.value()))
-                .collect();
-            proptest::prop_assert_eq!(compact.positions_of(&probe), expected);
+            for s in probe {
+                proptest::prop_assert_eq!(
+                    compact.position_from_tail(s),
+                    naive.position_from_tail(s.value())
+                );
+            }
             proptest::prop_assert_eq!(compact.max_id(), naive.ids().last().copied());
         }
     }

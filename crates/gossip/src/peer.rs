@@ -91,11 +91,6 @@ impl PeerNode {
         discover_sessions(&mut self.known_sessions, directory, observed_max);
     }
 
-    /// The sessions this node currently knows about.
-    pub fn known<'d>(&self, directory: &'d SessionDirectory) -> &'d [Session] {
-        known_slice(self.known_sessions, directory)
-    }
-
     /// Undelivered segments of `session` that the node still needs, i.e. ids
     /// in `[max(id_play, first), end]` missing from its buffer.  `end` falls
     /// back to `fallback_end` for a live session.
@@ -107,11 +102,6 @@ impl PeerNode {
     /// missing.
     pub fn q2_for(&self, session: &Session, qs: usize) -> usize {
         q2_for(&self.buffer, session, qs)
-    }
-
-    /// True when the node holds all of the first `Qs` segments of `session`.
-    pub fn prepared_for(&self, session: &Session, qs: usize) -> bool {
-        self.q2_for(session, qs) == 0
     }
 
     /// Advances playback by one period.
@@ -308,7 +298,6 @@ mod tests {
 
         node.discover_sessions(&dir, SegmentId(10));
         assert_eq!(node.known_sessions(), 1);
-        assert_eq!(node.known(&dir).len(), 1);
 
         // Seeing a segment of S2 reveals the switch (and hence S1's end).
         node.discover_sessions(&dir, SegmentId(100));
@@ -332,11 +321,9 @@ mod tests {
         assert_eq!(node.undelivered_in_session(s1, SegmentId(99)), 5);
         // Of the first 5 segments of S2 (100..=104) only 101 is held.
         assert_eq!(node.q2_for(s2, 5), 4);
-        assert!(!node.prepared_for(s2, 5));
         for i in 100..105u64 {
             node.buffer_mut().insert(SegmentId(i));
         }
-        assert!(node.prepared_for(s2, 5));
         assert_eq!(node.q2_for(s2, 5), 0);
     }
 

@@ -8,9 +8,9 @@
 //! fixed distance overlaps those fills with useful work.
 //!
 //! Prefetching is purely advisory: it moves cache lines, never data, so it
-//! cannot change any simulated result (the determinism suites run with and
-//! without the `parallel` feature and across shard counts regardless).  On
-//! non-x86 targets the hint compiles to nothing.
+//! cannot change any simulated result (the determinism suites run across
+//! chunk, pool and shard counts regardless).  On non-x86 targets the hint
+//! compiles to nothing.
 
 /// How many iterations ahead the dense chunk walks (scheduling gather,
 /// playback advance, meter sweep) prefetch the next peer's columns.  One

@@ -118,11 +118,6 @@ impl QoeTotals {
         let opportunities = self.played + self.stalled_segments;
         (opportunities > 0).then(|| self.played as f64 / opportunities as f64)
     }
-
-    /// Mean startup delay in periods (`None` before the first startup).
-    pub fn mean_startup_periods(&self) -> Option<f64> {
-        (self.startups > 0).then(|| self.startup_delay_periods as f64 / self.startups as f64)
-    }
 }
 
 /// Counter-only QoE event recorder driven from the playback pass of

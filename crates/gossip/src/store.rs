@@ -201,20 +201,7 @@ impl PeerStore {
     /// in peer order either way).
     pub fn set_shards(&mut self, shards: usize) {
         let shards = shards.max(1);
-        let target = self.len.div_ceil(shards).max(1).next_power_of_two();
-        self.reshard(target);
-    }
-
-    /// Re-partitions the store to the given power-of-two shard size.
-    pub fn set_shard_size(&mut self, shard_size: usize) {
-        assert!(
-            shard_size.is_power_of_two(),
-            "shard size must be a power of two, got {shard_size}"
-        );
-        self.reshard(shard_size);
-    }
-
-    fn reshard(&mut self, shard_size: usize) {
+        let shard_size = self.len.div_ceil(shards).max(1).next_power_of_two();
         if shard_size == self.shard_size {
             return;
         }

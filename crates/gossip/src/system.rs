@@ -20,13 +20,12 @@
 //! working memory lives in a reusable [`PeriodScratch`] arena (zero
 //! steady-state heap allocation), candidate segments are discovered by
 //! word-level bitset intersection of per-peer availability maps, per-peer
-//! lookups use dense `Vec`s indexed by [`PeerId`], and — behind the
-//! `parallel` feature — the read-only scheduling pass fans out over an
-//! attached [`JobExecutor`] (the persistent `fss-runtime` worker pool in
-//! production; an in-line serial fallback otherwise) in deterministic node
-//! order.  Chunk outputs land in per-chunk scratch slots, so the report is
-//! byte-identical regardless of executor, worker count or scheduling
-//! interleaving.  Installing a message-level network model
+//! lookups use dense `Vec`s indexed by [`PeerId`], and the read-only
+//! scheduling pass fans out over an attached [`JobExecutor`] (the
+//! persistent `fss-runtime` worker pool in production; an in-line serial
+//! fallback otherwise) in deterministic node order.  Chunk outputs land in
+//! per-chunk scratch slots, so the report is byte-identical regardless of
+//! executor, worker count or scheduling interleaving.  Installing a message-level network model
 //! ([`StreamingSystem::set_network`]) adds three legs to the same pipeline
 //! — boundary landing, in-flight dispatch and the arrival drain — rather
 //! than a second period body.  The behaviour is pinned by report digests
@@ -124,11 +123,6 @@ pub struct StreamingSystem {
     switch_sessions: Option<(SourceId, SourceId)>,
     switch_records: Vec<SwitchRecord>,
     ratio_samples: Vec<RatioSample>,
-    /// Keep-every-k decimation of the ratio samples (1 = keep all).
-    ratio_keep_every: u64,
-    /// Periods with a recordable ratio sample since the switch (the
-    /// decimation counter; the first sample is always kept).
-    ratio_periods_seen: u64,
     switch_completed_secs: Option<f64>,
 
     /// Streaming QoE event recorder, fed by the playback pass (see
@@ -138,8 +132,8 @@ pub struct StreamingSystem {
 
     /// Reusable period working memory.
     scratch: PeriodScratch,
-    /// Chunk count of the scheduling pass (effective only with the
-    /// `parallel` feature; results are identical either way).
+    /// Chunk count of the scheduling pass (results are identical for any
+    /// value).
     parallelism: usize,
     /// Executor running the scheduling-pass chunks.  `None` degrades to the
     /// in-line [`SerialExecutor`] — byte-identical results either way.
@@ -197,8 +191,6 @@ impl StreamingSystem {
             switch_sessions: None,
             switch_records: vec![SwitchRecord::default(); capacity],
             ratio_samples: Vec::new(),
-            ratio_keep_every: 1,
-            ratio_periods_seen: 0,
             switch_completed_secs: None,
             qoe: QoeRecorder::with_capacity(capacity),
             scratch: PeriodScratch::default(),
@@ -247,12 +239,6 @@ impl StreamingSystem {
         self.net = Some(NetworkModel::new(config, tau_ms, hint));
     }
 
-    /// Uninstalls the network model, reverting [`advance`](Self::advance) to
-    /// period-lockstep stepping.  Messages still in flight are discarded.
-    pub fn clear_network(&mut self) {
-        self.net = None;
-    }
-
     /// The installed network model, if event-driven stepping is active.
     pub fn network(&self) -> Option<&NetworkModel> {
         self.net.as_ref()
@@ -266,9 +252,8 @@ impl StreamingSystem {
 
     /// Sets the number of scheduling-pass chunks (the fan-out width).
     ///
-    /// Values above 1 take effect only when the `parallel` feature is
-    /// enabled; the sweep is chunked deterministically so results are
-    /// byte-identical to the sequential order regardless.
+    /// The sweep is chunked deterministically, so results are
+    /// byte-identical to the sequential order for any width.
     pub fn set_parallelism(&mut self, workers: usize) {
         self.parallelism = workers.max(1);
     }
@@ -294,25 +279,15 @@ impl StreamingSystem {
         self.peers.shard_count()
     }
 
-    /// The peer store itself (sharded struct-of-arrays columns).
-    pub fn peer_store(&self) -> &PeerStore {
-        &self.peers
-    }
-
     /// Attaches the executor that runs the scheduling-pass chunks — in
     /// production the persistent `fss-runtime::WorkerPool`, which amortises
     /// thread spawn cost to zero per period.
     ///
-    /// Without an executor (or without the `parallel` feature) the chunks
-    /// run in-line; because every chunk writes only its own scratch slot,
-    /// reports are byte-identical in all configurations.
+    /// Without an executor the chunks run in-line; because every chunk
+    /// writes only its own scratch slot, reports are byte-identical in all
+    /// configurations.
     pub fn set_executor(&mut self, executor: Arc<dyn JobExecutor>) {
         self.executor = Some(executor);
-    }
-
-    /// Detaches the executor, reverting to in-line chunk execution.
-    pub fn clear_executor(&mut self) {
-        self.executor = None;
     }
 
     /// The protocol configuration.
@@ -393,26 +368,6 @@ impl StreamingSystem {
     /// percent of period throughput.
     pub fn set_qoe_enabled(&mut self, on: bool) {
         self.qoe.set_enabled(on);
-    }
-
-    /// Decimates the per-period ratio samples to every `keep_every`-th
-    /// recordable period (the first sample after a switch is always kept),
-    /// bounding `SystemReport::ratio_samples` for long runs.  The default
-    /// of 1 keeps every sample — byte-identical to the undecimated report
-    /// (pinned by the golden digest tests).
-    ///
-    /// # Panics
-    /// Panics if `keep_every` is 0.
-    pub fn set_ratio_decimation(&mut self, keep_every: u64) {
-        assert!(keep_every > 0, "keep_every must be at least 1");
-        self.ratio_keep_every = keep_every;
-    }
-
-    /// Chooses a keep-every-k ratio decimation so a run of `expected_periods`
-    /// yields at most `max_samples` ratio samples (at least 1 sample).
-    pub fn ratio_keep_every_for(expected_periods: u64, max_samples: usize) -> u64 {
-        let cap = (max_samples as u64).max(1);
-        expected_periods.div_ceil(cap).max(1)
     }
 
     /// Starts the first source.  Must be called exactly once before running.
@@ -497,7 +452,6 @@ impl StreamingSystem {
         self.switch_completed_secs = None;
         self.traffic_switch_window = TrafficCounters::new();
         self.ratio_samples.clear();
-        self.ratio_periods_seen = 0;
         let old_session = *self.directory.get(old_id).expect("old session exists");
         for record in self.switch_records.iter_mut() {
             *record = SwitchRecord::default();
@@ -515,21 +469,12 @@ impl StreamingSystem {
         new_id
     }
 
-    /// Removes `peer` from the overlay — an externally driven departure,
-    /// e.g. a viewer zapping away to another channel in a multi-channel
-    /// deployment.
-    ///
-    /// The peer's protocol state stays allocated (ids are never reused) and
-    /// its switch record is marked departed so it stops counting towards
-    /// switch metrics.  Call [`repair_membership`](Self::repair_membership)
-    /// after a batch of external membership changes.
+    /// Removes one peer from the overlay (the per-peer half of
+    /// [`depart_batch`](Self::depart_batch), which repairs afterwards).
     ///
     /// # Panics
-    /// Panics if `peer` has ever been a source: departing the emitter would
-    /// silently stall the whole stream, and old sources remain the primary
-    /// holders of their stream's tail — the same protection the churn path
-    /// enforces.
-    pub fn depart_peer(&mut self, peer: PeerId) -> Result<(), OverlayError> {
+    /// Panics if `peer` has ever been a source.
+    fn depart_peer(&mut self, peer: PeerId) -> Result<(), OverlayError> {
         assert!(
             !self.sources.contains(&peer),
             "sources cannot depart (peer {peer})"
@@ -542,36 +487,23 @@ impl StreamingSystem {
         Ok(())
     }
 
-    /// Admits a new peer attached to `neighbors` — an externally driven
-    /// arrival, e.g. a viewer zapping in from another channel.
-    ///
-    /// Exactly like a churn joiner, the newcomer starts media playback by
-    /// following its neighbours' current steps.  Returns the new peer's id.
-    pub fn admit_peer(
-        &mut self,
-        attrs: PeerAttrs,
-        neighbors: &[PeerId],
-    ) -> Result<PeerId, OverlayError> {
-        let id = self.overlay.add_peer(attrs, neighbors)?;
-        self.view.on_join(id);
-        self.register_joined_peer(id);
-        self.rejoin_at_neighbours(id);
-        Ok(id)
-    }
-
     /// Removes a batch of peers and repairs the membership once — the
     /// departure half of a *zap batch* (a group of viewers leaving this
     /// channel for another one at the same period boundary).
     ///
-    /// Equivalent to [`depart_peer`](Self::depart_peer) for every peer
-    /// followed by one [`repair_membership`](Self::repair_membership) call;
-    /// batching the repair is what keeps a multi-viewer zap batch a single
-    /// pairwise synchronisation point between two channels.  An empty batch
-    /// is a no-op (no repair pass, no RNG consumption).
+    /// Each peer's protocol state stays allocated (ids are never reused) and
+    /// its switch record is marked departed so it stops counting towards
+    /// switch metrics.  Batching the
+    /// [`repair_membership`](Self::repair_membership) pass is what keeps a
+    /// multi-viewer zap batch a single pairwise synchronisation point
+    /// between two channels.  An empty batch is a no-op (no repair pass, no
+    /// RNG consumption).
     ///
     /// # Panics
-    /// Panics if any peer has ever been a source (see
-    /// [`depart_peer`](Self::depart_peer)).
+    /// Panics if any peer has ever been a source: departing the emitter
+    /// would silently stall the whole stream, and old sources remain the
+    /// primary holders of their stream's tail — the same protection the
+    /// churn path enforces.
     pub fn depart_batch(&mut self, peers: &[PeerId]) -> Result<(), OverlayError> {
         if peers.is_empty() {
             return Ok(());
@@ -584,37 +516,15 @@ impl StreamingSystem {
     }
 
     /// Admits a batch of peers and repairs the membership once — the arrival
-    /// half of a *zap batch*.
+    /// half of a *zap batch* (a group of viewers zapping in from another
+    /// channel).
     ///
-    /// Exactly like the churn join rule, all arrivals are registered first
-    /// and only then pointed at their neighbours' playback steps, so
-    /// arrivals may neighbour each other within the batch.  Returns the new
-    /// peer ids in batch order.  An empty batch is a no-op.
-    pub fn admit_batch(
-        &mut self,
-        arrivals: &[(PeerAttrs, Vec<PeerId>)],
-    ) -> Result<Vec<PeerId>, OverlayError> {
-        let mut ids = Vec::with_capacity(arrivals.len());
-        for (attrs, neighbors) in arrivals {
-            let id = self.overlay.add_peer(*attrs, neighbors)?;
-            self.view.on_join(id);
-            self.register_joined_peer(id);
-            ids.push(id);
-        }
-        for &id in &ids {
-            self.rejoin_at_neighbours(id);
-        }
-        if !ids.is_empty() {
-            self.repair_membership();
-        }
-        Ok(ids)
-    }
-
-    /// [`admit_batch`](Self::admit_batch) over flat, pooled buffers: arrival
-    /// `i` takes `neighbours[i * degree..(i + 1) * degree]` as its neighbour
-    /// set and its id is appended to `ids_out` (cleared first).  This is the
-    /// allocation-free admission shape the zap hot path uses — no per-arrival
-    /// `Vec` clone, no returned `Vec`.
+    /// Arrival `i` takes `neighbours[i * degree..(i + 1) * degree]` as its
+    /// neighbour set and its id is appended to `ids_out` (cleared first), so
+    /// admission allocates nothing per arrival.  Exactly like the churn join
+    /// rule, all arrivals are registered first and only then pointed at
+    /// their neighbours' playback steps, so arrivals may neighbour each
+    /// other within the batch.  An empty batch is a no-op.
     ///
     /// # Panics
     /// Panics if `neighbours.len() != attrs.len() * degree`.
@@ -671,7 +581,9 @@ impl StreamingSystem {
     }
 
     /// Repairs neighbour sets after external membership changes
-    /// ([`depart_peer`](Self::depart_peer) / [`admit_peer`](Self::admit_peer)).
+    /// ([`depart_batch`](Self::depart_batch) /
+    /// [`admit_batch_grouped`](Self::admit_batch_grouped) run it once per
+    /// batch).
     ///
     /// The per-period churn path runs this automatically; external drivers
     /// call it once per batch of zap events.
@@ -699,12 +611,6 @@ impl StreamingSystem {
             executed += 1;
         }
         executed
-    }
-
-    /// True when every countable node has finished the old stream and
-    /// prepared the new one.
-    pub fn switch_complete(&self) -> bool {
-        self.switch_completed_secs.is_some()
     }
 
     /// Executes one scheduling period — the single period pipeline every
@@ -1018,14 +924,6 @@ impl StreamingSystem {
     // optimized period internals
     // ------------------------------------------------------------------
 
-    fn worker_count(&self) -> usize {
-        if cfg!(feature = "parallel") {
-            self.parallelism.max(1)
-        } else {
-            1
-        }
-    }
-
     /// Buffer-map gather + discovery + context building + scheduling,
     /// entirely out of the scratch arena.  Fills `self.scratch.batches` in
     /// node order.
@@ -1043,7 +941,7 @@ impl StreamingSystem {
     /// the in-flight store).
     fn collect_requests_scratch(&mut self) {
         let capacity = self.overlay.graph().capacity();
-        let workers = self.worker_count();
+        let workers = self.parallelism;
         self.scratch.ensure_capacity(capacity, workers);
 
         self.scratch.active.clear();
@@ -1492,14 +1390,11 @@ impl StreamingSystem {
         );
 
         if counted > 0 {
-            self.ratio_periods_seen += 1;
-            if (self.ratio_periods_seen - 1).is_multiple_of(self.ratio_keep_every) {
-                self.ratio_samples.push(RatioSample {
-                    secs: since_switch,
-                    undelivered_ratio_s1: undelivered_sum / counted as f64,
-                    delivered_ratio_s2: delivered_sum / counted as f64,
-                });
-            }
+            self.ratio_samples.push(RatioSample {
+                secs: since_switch,
+                undelivered_ratio_s1: undelivered_sum / counted as f64,
+                delivered_ratio_s2: delivered_sum / counted as f64,
+            });
         }
         if qoe_on {
             self.qoe.finish_period(waiting);
@@ -1799,7 +1694,6 @@ mod tests {
         sys.switch_source(s2);
         let executed = sys.run_until_switched(200);
         assert!(executed < 200, "switch never completed");
-        assert!(sys.switch_complete());
 
         let report = sys.report();
         assert_eq!(report.scheduler, "greedy-oldest");
@@ -1911,7 +1805,6 @@ mod tests {
     /// Regression test: recycled request vectors must never strand in worker
     /// slots that receive no chunk (more workers than chunks), and every
     /// period must return all vectors to the global pool.
-    #[cfg(feature = "parallel")]
     #[test]
     fn request_pool_never_strands_in_idle_workers() {
         let mut sys = build_system(20, 23);
@@ -1939,7 +1832,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_sweep_is_byte_identical() {
         let run = |workers: usize| {
@@ -2072,15 +1964,16 @@ mod tests {
         sys.start_initial_source(source);
         sys.run_periods(20);
 
-        sys.depart_peer(viewer).unwrap();
-        sys.repair_membership();
+        sys.depart_batch(&[viewer]).unwrap();
         assert!(!sys.overlay().graph().is_active(viewer));
         assert!(sys.switch_records()[viewer as usize].departed);
 
         let neighbours: Vec<PeerId> = sys.overlay().active_peers().take(5).collect();
         let attrs = *sys.overlay().attrs(source).unwrap();
-        let joined = sys.admit_peer(attrs, &neighbours).unwrap();
-        sys.repair_membership();
+        let mut ids = Vec::new();
+        sys.admit_batch_grouped(&[attrs], &neighbours, neighbours.len(), &mut ids)
+            .unwrap();
+        let joined = ids[0];
         assert!(sys.overlay().graph().is_active(joined));
         // The arrival follows its neighbours' playback steps, like a churn
         // joiner: its join point is at (or past) the slowest neighbour.
@@ -2093,8 +1986,8 @@ mod tests {
         sys.run_periods(5); // the system keeps running with the newcomer
     }
 
-    /// The batched zap hooks must behave like per-peer depart/admit plus one
-    /// repair pass, and arrivals within a batch may neighbour each other.
+    /// The batched zap hooks depart/admit every peer with one repair pass,
+    /// and arrivals within a batch may neighbour each other.
     #[test]
     fn batched_zap_hooks_mirror_single_peer_calls() {
         let mut sys = build_system(40, 9);
@@ -2123,8 +2016,10 @@ mod tests {
         let attrs = *sys.overlay().attrs(source).unwrap();
         let hosts: Vec<PeerId> = sys.overlay().active_peers().take(5).collect();
         let first_id = sys.overlay().graph().capacity() as PeerId;
-        let batch = vec![(attrs, hosts.clone()), (attrs, vec![hosts[0], first_id])];
-        let ids = sys.admit_batch(&batch).unwrap();
+        let flat = [hosts[0], hosts[1], hosts[0], first_id];
+        let mut ids = Vec::new();
+        sys.admit_batch_grouped(&[attrs; 2], &flat, 2, &mut ids)
+            .unwrap();
         assert_eq!(ids.len(), 2);
         assert_eq!(ids[0], first_id);
         for &id in &ids {
@@ -2133,7 +2028,8 @@ mod tests {
         assert!(sys.overlay().neighbors(ids[1]).contains(&ids[0]));
         // Empty batches are no-ops.
         sys.depart_batch(&[]).unwrap();
-        assert!(sys.admit_batch(&[]).unwrap().is_empty());
+        sys.admit_batch_grouped(&[], &[], 2, &mut ids).unwrap();
+        assert!(ids.is_empty());
         sys.run_periods(5);
     }
 
@@ -2165,7 +2061,7 @@ mod tests {
 
     /// The directory invariant: the membership view mirrors the overlay's
     /// active set exactly — in ascending-id (`active_peers()`) order —
-    /// through churn, batched zaps and single-peer admits alike.
+    /// through churn and batched zaps alike.
     #[test]
     fn membership_view_stays_in_sync_with_the_overlay() {
         let mut sys = build_system(60, 19);
@@ -2240,7 +2136,7 @@ mod tests {
         let mut sys = build_system(20, 6);
         let (s1, _) = first_two(&sys);
         sys.start_initial_source(s1);
-        let _ = sys.depart_peer(s1);
+        let _ = sys.depart_batch(&[s1]);
     }
 
     #[test]
@@ -2475,19 +2371,5 @@ mod tests {
             stats.data_sent,
             stats.data_delivered + stats.data_stale + sys.network().unwrap().in_flight() as u64
         );
-    }
-
-    #[test]
-    fn clear_network_reverts_to_period_stepping() {
-        let mut sys = build_system(40, 0x5153);
-        let source = sys.overlay().active_peers().next().unwrap();
-        sys.set_network(NetworkConfig::ideal());
-        sys.start_initial_source(source);
-        sys.run_periods(5);
-        sys.clear_network();
-        assert!(sys.network().is_none());
-        sys.run_periods(5);
-        assert_eq!(sys.periods(), 10);
-        assert_eq!(sys.network_stats(), NetStats::default());
     }
 }

@@ -725,8 +725,8 @@ impl SessionManager {
     }
 
     /// Fans each channel's *internal* scheduling pass out over the pool as
-    /// well (`chunks` chunks per channel; effective with the `parallel`
-    /// feature, byte-identical results regardless).
+    /// well (`chunks` chunks per channel; byte-identical results for any
+    /// count).
     pub fn set_gossip_parallelism(&mut self, chunks: usize) {
         for channel in &mut self.channels {
             channel.system.set_parallelism(chunks);

@@ -1,7 +1,7 @@
-//! Hot-path equivalence: the zero-allocation scratch-arena period loop (and,
-//! when enabled, its parallel scheduling sweep) must reproduce the
-//! `SystemReport` of the original straight-line reference implementation on
-//! a seeded churn scenario with the paper's schedulers.  The reference
+//! Hot-path equivalence: the zero-allocation scratch-arena period loop (and
+//! its chunked scheduling sweep, in-line or on a worker pool) must reproduce
+//! the `SystemReport` of the original straight-line reference implementation
+//! on a seeded churn scenario with the paper's schedulers.  The reference
 //! reports are pinned as digests captured from that implementation.
 
 use fast_source_switching::core::{FastSwitchScheduler, NormalSwitchScheduler};
@@ -9,9 +9,11 @@ use fast_source_switching::gossip::{
     GossipConfig, SegmentScheduler, StreamingSystem, SystemReport,
 };
 use fast_source_switching::overlay::{ChurnModel, OverlayBuilder, PeerId};
+use fast_source_switching::runtime::WorkerPool;
 use fast_source_switching::sim::hasher::FxHasher64;
 use fast_source_switching::trace::{GeneratorConfig, TraceGenerator};
 use std::hash::Hasher;
+use std::sync::Arc;
 
 /// Digest of the Fast-scheduler report, captured from the reference
 /// implementation.
@@ -33,10 +35,8 @@ fn digest(report: &SystemReport) -> u64 {
 enum Path {
     Optimized,
     /// Chunked scheduling sweep without an executor (in-line chunks).
-    #[allow(dead_code)]
     Parallel(usize),
     /// Chunked scheduling sweep on a persistent pool of the given size.
-    #[allow(dead_code)]
     Pool {
         chunks: usize,
         workers: usize,
@@ -44,21 +44,26 @@ enum Path {
 }
 
 /// Runs the 200-node churned switch scenario through the selected period
-/// implementation and returns its report.
-fn run_churn_scenario(scheduler: Box<dyn SegmentScheduler>, path: Path) -> SystemReport {
+/// implementation and returns its report, plus the pool of a
+/// [`Path::Pool`] run.
+fn run_churn_scenario(
+    scheduler: Box<dyn SegmentScheduler>,
+    path: Path,
+) -> (SystemReport, Option<Arc<WorkerPool>>) {
     let trace = TraceGenerator::new(GeneratorConfig::sized(200, 42)).generate("equivalence");
     let overlay = OverlayBuilder::paper_default().build(&trace).unwrap();
     let peers: Vec<PeerId> = overlay.active_peers().collect();
     let (s1, s2) = (peers[0], peers[peers.len() / 2]);
 
     let mut sys = StreamingSystem::new(overlay, GossipConfig::paper_default(), scheduler);
+    let mut pool = None;
     match path {
         Path::Parallel(workers) => sys.set_parallelism(workers),
         Path::Pool { chunks, workers } => {
             sys.set_parallelism(chunks);
-            let pool =
-                std::sync::Arc::new(fast_source_switching::runtime::WorkerPool::new(workers));
-            sys.set_executor(pool.as_executor());
+            let workers = Arc::new(WorkerPool::new(workers));
+            sys.set_executor(workers.as_executor());
+            pool = Some(workers);
         }
         Path::Optimized => {}
     }
@@ -68,12 +73,12 @@ fn run_churn_scenario(scheduler: Box<dyn SegmentScheduler>, path: Path) -> Syste
     sys.set_churn(ChurnModel::paper_default(7));
     sys.switch_source(s2);
     sys.run_periods(120);
-    sys.report()
+    (sys.report(), pool)
 }
 
 #[test]
 fn fast_scheduler_optimized_matches_reference_under_churn() {
-    let optimized = run_churn_scenario(Box::new(FastSwitchScheduler::new()), Path::Optimized);
+    let (optimized, _) = run_churn_scenario(Box::new(FastSwitchScheduler::new()), Path::Optimized);
     assert_eq!(digest(&optimized), FAST_REFERENCE_DIGEST, "{optimized:?}");
     // The scenario is meaningful: the switch actually completed and traffic
     // flowed.
@@ -84,16 +89,16 @@ fn fast_scheduler_optimized_matches_reference_under_churn() {
 
 #[test]
 fn normal_scheduler_optimized_matches_reference_under_churn() {
-    let optimized = run_churn_scenario(Box::new(NormalSwitchScheduler::new()), Path::Optimized);
+    let (optimized, _) =
+        run_churn_scenario(Box::new(NormalSwitchScheduler::new()), Path::Optimized);
     assert_eq!(digest(&optimized), NORMAL_REFERENCE_DIGEST, "{optimized:?}");
 }
 
-#[cfg(feature = "parallel")]
 #[test]
 fn parallel_sweep_matches_sequential_under_churn() {
-    let sequential = run_churn_scenario(Box::new(FastSwitchScheduler::new()), Path::Optimized);
+    let (sequential, _) = run_churn_scenario(Box::new(FastSwitchScheduler::new()), Path::Optimized);
     for workers in [2, 4, 7] {
-        let parallel = run_churn_scenario(
+        let (parallel, _) = run_churn_scenario(
             Box::new(FastSwitchScheduler::new()),
             Path::Parallel(workers),
         );
@@ -104,29 +109,27 @@ fn parallel_sweep_matches_sequential_under_churn() {
 /// The pool determinism guarantee: the scheduling sweep dispatched onto the
 /// persistent worker pool produces byte-identical reports for every pool
 /// size — 1 (in-line), 2, 4 and 7 workers — under churn, and matches the
-/// sequential path (itself pinned to the reference digest above).
-#[cfg(feature = "parallel")]
+/// sequential path (itself pinned to the reference digest above).  Every
+/// pool must actually have been handed the scheduling pass.
 #[test]
 fn pool_backed_sweep_is_byte_identical_across_pool_sizes() {
-    let sequential = run_churn_scenario(Box::new(FastSwitchScheduler::new()), Path::Optimized);
+    let (sequential, _) = run_churn_scenario(Box::new(FastSwitchScheduler::new()), Path::Optimized);
     for workers in [1, 2, 4, 7] {
-        let pooled = run_churn_scenario(
+        let (pooled, pool) = run_churn_scenario(
             Box::new(FastSwitchScheduler::new()),
             Path::Pool { chunks: 4, workers },
         );
         assert_eq!(pooled, sequential, "pool workers = {workers}");
+        let dispatches = pool.expect("pool run returns its pool").dispatches();
+        assert!(dispatches > 0, "pool workers = {workers}: no dispatch");
     }
 }
 
 /// Pool reuse across consecutive sessions: a pool that already ran one full
 /// session must drive a second one to exactly the report a fresh pool
 /// produces (no state leakage through the persistent workers).
-#[cfg(feature = "parallel")]
 #[test]
 fn pool_reuse_across_sessions_matches_fresh_pool() {
-    use fast_source_switching::runtime::WorkerPool;
-    use std::sync::Arc;
-
     let run_on = |pool: &Arc<WorkerPool>, scheduler: Box<dyn SegmentScheduler>| {
         let trace = TraceGenerator::new(GeneratorConfig::sized(150, 42)).generate("pool-reuse");
         let overlay = OverlayBuilder::paper_default().build(&trace).unwrap();

@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fss_core::{greedy_assign, AssignmentOrder, FastSwitchScheduler, NormalSwitchScheduler};
 use fss_gossip::{
-    CandidateSegment, SchedulingContext, SegmentId, SegmentScheduler, SessionView, SourceId,
-    SupplierInfo,
+    CandidateSegment, SchedulerScratch, SchedulingContext, SegmentId, SegmentScheduler,
+    SessionView, SourceId, SupplierInfo,
 };
 
 /// A switch context with `old` old-source and `new` new-source candidates,
@@ -70,12 +70,18 @@ fn bench_scheduling(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("fast_scheduler", candidates),
             &ctx,
-            |b, ctx| b.iter(|| FastSwitchScheduler::new().schedule(ctx)),
+            |b, ctx| {
+                let (mut scratch, mut out) = (SchedulerScratch::new(), Vec::new());
+                b.iter(|| FastSwitchScheduler::new().schedule_into(ctx, &mut scratch, &mut out))
+            },
         );
         group.bench_with_input(
             BenchmarkId::new("normal_scheduler", candidates),
             &ctx,
-            |b, ctx| b.iter(|| NormalSwitchScheduler::new().schedule(ctx)),
+            |b, ctx| {
+                let (mut scratch, mut out) = (SchedulerScratch::new(), Vec::new());
+                b.iter(|| NormalSwitchScheduler::new().schedule_into(ctx, &mut scratch, &mut out))
+            },
         );
     }
     group.finish();

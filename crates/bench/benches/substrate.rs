@@ -1,9 +1,9 @@
-//! Benchmarks of the gossip substrate hot paths: FIFO buffer operations,
-//! buffer-map encoding, and transfer resolution.
+//! Benchmarks of the gossip substrate hot paths: FIFO buffer operations
+//! and transfer resolution.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fss_gossip::{
-    BufferMap, CapacityModel, FifoBuffer, RequestBatch, SegmentId, SegmentRequest, TransferResolver,
+    CapacityModel, FifoBuffer, RequestBatch, SegmentId, SegmentRequest, TransferResolver,
 };
 
 fn full_buffer() -> FifoBuffer {
@@ -26,14 +26,6 @@ fn bench_buffer(c: &mut Criterion) {
         })
     });
 
-    let buffer = full_buffer();
-    group.bench_function("buffermap_build_and_encode", |b| {
-        b.iter(|| BufferMap::from_buffer(&buffer, 600).encode())
-    });
-    let encoded = BufferMap::from_buffer(&buffer, 600).encode();
-    group.bench_function("buffermap_decode", |b| {
-        b.iter(|| BufferMap::decode(encoded.clone()).unwrap())
-    });
     group.finish();
 }
 

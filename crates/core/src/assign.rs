@@ -14,13 +14,12 @@
 //! provides an exact solver for tiny instances to measure the gap.
 
 use crate::priority::{priority, SegmentPriority};
-use fss_gossip::hasher::FxHashMap;
 use fss_gossip::{SchedulingContext, SegmentId, StreamClass};
 use fss_overlay::PeerId;
-use serde::{Deserialize, Serialize};
+use fss_sim::hasher::FxHashMap;
 
 /// How candidates are ordered before the greedy pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AssignmentOrder {
     /// Strictly by decreasing priority, mixing both streams — the fast switch
     /// algorithm's order.
@@ -31,7 +30,7 @@ pub enum AssignmentOrder {
 }
 
 /// One segment together with the supplier the greedy pass chose for it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AssignedSegment {
     /// The segment to request.
     pub id: SegmentId,
@@ -47,7 +46,7 @@ pub struct AssignedSegment {
 }
 
 /// The ordered schedulable sets produced by the greedy pass.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AssignmentOutcome {
     /// `O1`: schedulable old-source segments, highest priority first.
     pub old: Vec<AssignedSegment>,

@@ -97,13 +97,6 @@ impl SegmentScheduler for FastSwitchScheduler {
         "fast-switch"
     }
 
-    fn schedule(&self, ctx: &SchedulingContext) -> Vec<SegmentRequest> {
-        let mut scratch = SchedulerScratch::new();
-        let mut out = Vec::new();
-        self.schedule_into(ctx, &mut scratch, &mut out);
-        out
-    }
-
     fn schedule_into(
         &self,
         ctx: &SchedulingContext,
@@ -159,6 +152,16 @@ mod tests {
         CandidateSegment, SegmentId, SessionView, SourceId, StreamClass, SupplierInfo,
     };
 
+    /// Runs the scheduler on `ctx` into the reused `out`, returning it.
+    fn run<'a>(
+        ctx: &SchedulingContext,
+        scratch: &mut SchedulerScratch,
+        out: &'a mut Vec<SegmentRequest>,
+    ) -> &'a [SegmentRequest] {
+        FastSwitchScheduler::new().schedule_into(ctx, scratch, out);
+        out
+    }
+
     fn supplier(peer: u32, rate: f64, position: usize) -> SupplierInfo {
         SupplierInfo {
             peer,
@@ -212,7 +215,8 @@ mod tests {
     #[test]
     fn interleaves_old_and_new_requests() {
         let ctx = switch_ctx(15.0);
-        let requests = FastSwitchScheduler::new().schedule(&ctx);
+        let (mut scratch, mut out) = (SchedulerScratch::new(), Vec::new());
+        let requests = run(&ctx, &mut scratch, &mut out);
         assert!(!requests.is_empty());
         assert!(requests.len() <= ctx.inbound_budget());
         let old = requests
@@ -240,22 +244,26 @@ mod tests {
 
     #[test]
     fn never_exceeds_the_inbound_budget() {
+        let (mut scratch, mut out) = (SchedulerScratch::new(), Vec::new());
         for inbound in [1.0, 5.0, 10.0, 15.0, 33.0] {
             let ctx = switch_ctx(inbound);
-            let requests = FastSwitchScheduler::new().schedule(&ctx);
-            assert!(requests.len() <= ctx.inbound_budget());
+            assert!(run(&ctx, &mut scratch, &mut out).len() <= ctx.inbound_budget());
         }
     }
 
     #[test]
     fn no_candidates_or_budget_yields_no_requests() {
-        let mut ctx = switch_ctx(15.0);
-        ctx.candidates.clear();
-        assert!(FastSwitchScheduler::new().schedule(&ctx).is_empty());
-
-        let mut ctx = switch_ctx(15.0);
-        ctx.inbound_rate = 0.5;
-        assert!(FastSwitchScheduler::new().schedule(&ctx).is_empty());
+        // Each empty schedule follows a full one into the same `out`: the
+        // scheduler must clear what the previous period left there.
+        let (mut scratch, mut out) = (SchedulerScratch::new(), Vec::new());
+        let mut no_candidates = switch_ctx(15.0);
+        no_candidates.candidates.clear();
+        let mut no_budget = switch_ctx(15.0);
+        no_budget.inbound_rate = 0.5;
+        for ctx in [no_candidates, no_budget] {
+            assert!(!run(&switch_ctx(15.0), &mut scratch, &mut out).is_empty());
+            assert!(run(&ctx, &mut scratch, &mut out).is_empty());
+        }
     }
 
     #[test]
@@ -265,7 +273,8 @@ mod tests {
         ctx.candidates.retain(|c| c.id < SegmentId(200));
         ctx.new_session = None;
         ctx.q2 = 0;
-        let requests = FastSwitchScheduler::new().schedule(&ctx);
+        let (mut scratch, mut out) = (SchedulerScratch::new(), Vec::new());
+        let requests = run(&ctx, &mut scratch, &mut out);
         assert_eq!(requests.len(), ctx.inbound_budget());
         // Most urgent (earliest) segments are requested first.
         assert_eq!(requests[0].segment, SegmentId(140));
@@ -274,12 +283,13 @@ mod tests {
     #[test]
     fn requests_are_unique_and_reference_candidate_suppliers() {
         let ctx = switch_ctx(15.0);
-        let requests = FastSwitchScheduler::new().schedule(&ctx);
+        let (mut scratch, mut out) = (SchedulerScratch::new(), Vec::new());
+        let requests = run(&ctx, &mut scratch, &mut out);
         let mut ids: Vec<_> = requests.iter().map(|r| r.segment).collect();
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), requests.len());
-        for r in &requests {
+        for r in requests {
             let c = ctx.candidates.iter().find(|c| c.id == r.segment).unwrap();
             assert!(c.suppliers.iter().any(|s| s.peer == r.supplier));
         }

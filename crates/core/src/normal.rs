@@ -29,13 +29,6 @@ impl SegmentScheduler for NormalSwitchScheduler {
         "normal-switch"
     }
 
-    fn schedule(&self, ctx: &SchedulingContext) -> Vec<SegmentRequest> {
-        let mut scratch = SchedulerScratch::new();
-        let mut out = Vec::new();
-        self.schedule_into(ctx, &mut scratch, &mut out);
-        out
-    }
-
     fn schedule_into(
         &self,
         ctx: &SchedulingContext,
@@ -73,6 +66,17 @@ mod tests {
     use fss_gossip::{
         CandidateSegment, SegmentId, SessionView, SourceId, StreamClass, SupplierInfo,
     };
+
+    /// Runs `scheduler` on `ctx` into the reused `out`, returning it.
+    fn run<'a>(
+        scheduler: &dyn SegmentScheduler,
+        ctx: &SchedulingContext,
+        scratch: &mut SchedulerScratch,
+        out: &'a mut Vec<SegmentRequest>,
+    ) -> &'a [SegmentRequest] {
+        scheduler.schedule_into(ctx, scratch, out);
+        out
+    }
 
     fn supplier(peer: u32, rate: f64, position: usize) -> SupplierInfo {
         SupplierInfo {
@@ -124,7 +128,8 @@ mod tests {
     fn old_source_gets_absolute_priority() {
         // Plenty of old segments missing: the whole budget goes to S1.
         let ctx = switch_ctx(60, 30, 15.0);
-        let requests = NormalSwitchScheduler::new().schedule(&ctx);
+        let (mut scratch, mut out) = (SchedulerScratch::new(), Vec::new());
+        let requests = run(&NormalSwitchScheduler, &ctx, &mut scratch, &mut out);
         assert_eq!(requests.len(), ctx.inbound_budget());
         assert!(requests
             .iter()
@@ -136,7 +141,8 @@ mod tests {
         // Only 4 old segments missing: 4 go to S1, the rest of the budget to
         // S2.
         let ctx = switch_ctx(4, 30, 15.0);
-        let requests = NormalSwitchScheduler::new().schedule(&ctx);
+        let (mut scratch, mut out) = (SchedulerScratch::new(), Vec::new());
+        let requests = run(&NormalSwitchScheduler, &ctx, &mut scratch, &mut out);
         assert_eq!(requests.len(), ctx.inbound_budget());
         let old = requests
             .iter()
@@ -156,13 +162,12 @@ mod tests {
         // budget for the new source while the normal algorithm spends it all
         // on the old one — the per-period difference behind Figure 2.
         let ctx = switch_ctx(60, 30, 15.0);
-        let fast_new = FastSwitchScheduler::new()
-            .schedule(&ctx)
+        let (mut scratch, mut out) = (SchedulerScratch::new(), Vec::new());
+        let fast_new = run(&FastSwitchScheduler, &ctx, &mut scratch, &mut out)
             .iter()
             .filter(|r| ctx.class_of(r.segment) == StreamClass::New)
             .count();
-        let normal_new = NormalSwitchScheduler::new()
-            .schedule(&ctx)
+        let normal_new = run(&NormalSwitchScheduler, &ctx, &mut scratch, &mut out)
             .iter()
             .filter(|r| ctx.class_of(r.segment) == StreamClass::New)
             .count();
@@ -173,12 +178,12 @@ mod tests {
     #[test]
     fn respects_budget_and_empty_inputs() {
         let ctx = switch_ctx(2, 1, 2.0);
-        let requests = NormalSwitchScheduler::new().schedule(&ctx);
-        assert!(requests.len() <= 2);
+        let (mut scratch, mut out) = (SchedulerScratch::new(), Vec::new());
+        assert!(run(&NormalSwitchScheduler, &ctx, &mut scratch, &mut out).len() <= 2);
 
         let mut empty = switch_ctx(5, 5, 15.0);
         empty.candidates.clear();
-        assert!(NormalSwitchScheduler::new().schedule(&empty).is_empty());
+        assert!(run(&NormalSwitchScheduler, &empty, &mut scratch, &mut out).is_empty());
         assert_eq!(NormalSwitchScheduler::new().name(), "normal-switch");
     }
 
@@ -192,7 +197,8 @@ mod tests {
             ctx.q2 = 5;
             ctx
         };
-        let normal = NormalSwitchScheduler::new().schedule(&ctx);
+        let (mut scratch, mut out) = (SchedulerScratch::new(), Vec::new());
+        let normal = run(&NormalSwitchScheduler, &ctx, &mut scratch, &mut out);
         assert_eq!(normal.len(), 7);
         let normal_old = normal
             .iter()
@@ -200,7 +206,7 @@ mod tests {
             .count();
         assert_eq!(normal_old, 5);
 
-        let fast = FastSwitchScheduler::new().schedule(&ctx);
+        let fast = run(&FastSwitchScheduler, &ctx, &mut scratch, &mut out);
         assert_eq!(fast.len(), 7);
         let fast_new = fast
             .iter()

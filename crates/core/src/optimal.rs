@@ -8,9 +8,9 @@
 //! one so the test-suite and the ablation bench can measure how far the
 //! greedy heuristic is from optimal.
 
-use fss_gossip::hasher::FxHashMap;
 use fss_gossip::{SchedulingContext, SegmentId};
 use fss_overlay::PeerId;
+use fss_sim::hasher::FxHashMap;
 
 /// The best assignment found by exhaustive search.
 #[derive(Debug, Clone, PartialEq)]

@@ -10,7 +10,6 @@
 //! * new-source startup threshold `Qs = 50` segments,
 //! * buffer map of 620 bits (600-bit availability + 20-bit head id).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors produced when validating a [`GossipConfig`].
@@ -29,7 +28,7 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Protocol parameters of the streaming system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GossipConfig {
     /// Data scheduling period `τ` in seconds.
     pub tau_secs: f64,
@@ -45,7 +44,8 @@ pub struct GossipConfig {
     pub new_source_qs: usize,
     /// Payload size of one segment in bits (30 Kb = 30 × 1024 bits).
     pub segment_bits: u64,
-    /// Size of one buffer-map exchange in bits (600-bit map + 20-bit head id).
+    /// Control bits charged per overlay neighbour per period: the §5.3
+    /// buffer-map advertisement (600-bit availability map + 20-bit head id).
     pub buffermap_bits: u64,
 }
 
@@ -67,11 +67,6 @@ impl GossipConfig {
     /// The configuration used throughout the paper's evaluation.
     pub fn paper_default() -> Self {
         Self::default()
-    }
-
-    /// Segments a rate of `rate` segments/s can move within one period.
-    pub fn segments_per_period(&self, rate: f64) -> f64 {
-        rate * self.tau_secs
     }
 
     /// Number of segments played per period.
@@ -141,11 +136,9 @@ mod tests {
     #[test]
     fn per_period_helpers() {
         let c = GossipConfig::paper_default();
-        assert_eq!(c.segments_per_period(15.0), 15.0);
         assert_eq!(c.play_per_period(), 10.0);
         let mut c2 = c;
         c2.tau_secs = 0.5;
-        assert_eq!(c2.segments_per_period(15.0), 7.5);
         assert_eq!(c2.play_per_period(), 5.0);
     }
 

@@ -43,9 +43,9 @@
 //! synchronised anyway — directory reads are the *only* cross-channel
 //! synchronisation points.
 
-use crate::hasher::FxHashMap;
 use crate::mem::{vec_bytes, MemoryFootprint};
 use fss_overlay::{PeerAttrs, PeerId};
+use fss_sim::hasher::FxHashMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

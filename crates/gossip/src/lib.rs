@@ -17,7 +17,7 @@
 //!   buffer-map sizes), defaulting to the paper's §5.1 values,
 //! * [`segment`] — global segment identifiers, sources and serial sessions,
 //! * [`buffer`] — the per-node FIFO segment buffer (`B = 600` segments),
-//! * [`buffermap`] — the 620-bit data-availability map exchanged per period,
+//!   whose availability window is the buffer map a peer advertises,
 //! * [`playback`] — the per-node playback state machine (startup after `Q`
 //!   consecutive segments, new-source startup after `Qs` segments *and* the
 //!   old stream finishing),
@@ -46,18 +46,15 @@
 //! * [`mem`] — the [`mem::MemoryFootprint`] accounting trait and the
 //!   per-peer byte meter surfaced in reports (see `docs/performance.md`),
 //! * [`scratch`] — the reusable per-period working memory (zero-allocation
-//!   hot path; see `docs/performance.md`),
-//! * [`hasher`] — deterministic hashing for hot-path maps, and
+//!   hot path; see `docs/performance.md`), and
 //! * [`system`] — the complete period-synchronous streaming system.
 
 #![warn(missing_docs)]
 
 pub mod buffer;
-pub mod buffermap;
 pub mod cast;
 pub mod config;
 pub mod directory;
-pub mod hasher;
 pub mod mem;
 pub mod membership;
 pub mod net;
@@ -74,7 +71,6 @@ pub mod system;
 pub mod transfer;
 
 pub use buffer::FifoBuffer;
-pub use buffermap::BufferMap;
 pub use config::GossipConfig;
 pub use directory::{AdmissionPipeline, AdmissionScratch, MembershipView, ViewConfig};
 pub use mem::{BufferMemBreakdown, MemUsage, MemoryFootprint};

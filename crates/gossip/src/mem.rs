@@ -29,8 +29,6 @@
 //! [`FifoBuffer`]: crate::buffer::FifoBuffer
 //! [`PeriodScratch`]: crate::scratch::PeriodScratch
 
-use serde::Serialize;
-
 /// Types that can report how much memory they are holding.
 ///
 /// `heap_bytes` counts the bytes *reserved* on the heap (vector and ring
@@ -85,7 +83,7 @@ impl BufferMemBreakdown {
 ///
 /// [`StreamingSystem::memory_usage`]: crate::system::StreamingSystem::memory_usage
 /// [`SystemReport::mem`]: crate::system::SystemReport::mem
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemUsage {
     /// Allocated peer slots, including departed peers (ids are never
     /// reused, so slots outlive their peers).

@@ -32,7 +32,6 @@
 //! stall-end event (mirroring how a real player's session trace ends).
 
 use crate::mem::{vec_bytes, MemoryFootprint};
-use serde::{Deserialize, Serialize};
 
 /// Per-peer QoE observation state, indexed by `PeerId` like the switch
 /// records (one entry per ever-allocated peer slot; ids are never reused).
@@ -54,7 +53,7 @@ struct PeerQoe {
 /// One period's QoE counters for one channel — the row a bounded timeline
 /// aggregates.  All fields are plain counters so rows merge by addition
 /// (and max for the gauges) without floating-point order sensitivity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeriodSample {
     /// Period index this row describes (1-based: the first `step()` produces
     /// period 1).
@@ -92,7 +91,7 @@ impl PeriodSample {
 
 /// Cumulative QoE counters over a whole run — the O(1)-size aggregate
 /// surfaced in `SystemReport`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QoeTotals {
     /// Periods observed with telemetry enabled.
     pub periods: u64,

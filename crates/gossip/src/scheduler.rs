@@ -9,11 +9,10 @@
 
 use crate::segment::{SegmentId, SourceId};
 use fss_overlay::PeerId;
-use serde::{Deserialize, Serialize};
 
 /// Which stream a candidate segment belongs to, relative to an in-progress
 /// source switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamClass {
     /// Segment of the old source `S1` (still required to finish its
     /// playback).
@@ -23,7 +22,7 @@ pub enum StreamClass {
 }
 
 /// A neighbour able to supply one candidate segment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupplierInfo {
     /// The supplying neighbour.
     pub peer: PeerId,
@@ -37,7 +36,7 @@ pub struct SupplierInfo {
 }
 
 /// One segment the node needs and could obtain this period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateSegment {
     /// The segment id.
     pub id: SegmentId,
@@ -58,7 +57,7 @@ impl CandidateSegment {
 }
 
 /// A view of one source session as known to the scheduling node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionView {
     /// The session identifier.
     pub id: SourceId,
@@ -69,7 +68,7 @@ pub struct SessionView {
 }
 
 /// Everything a scheduler needs to decide this period's requests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulingContext {
     /// Scheduling period `τ` in seconds.
     pub tau_secs: f64,
@@ -124,7 +123,7 @@ impl SchedulingContext {
 }
 
 /// One request the scheduler decided to issue this period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentRequest {
     /// The requested segment.
     pub segment: SegmentId,
@@ -170,30 +169,18 @@ pub trait SegmentScheduler: Send + Sync {
     /// Short policy name used in reports (e.g. `"fast-switch"`).
     fn name(&self) -> &'static str;
 
-    /// Decides which segments to request from which suppliers this period.
+    /// Decides which segments to request from which suppliers this period,
+    /// writing the requests into `out` (cleared first) and reusing `scratch`
+    /// for any intermediate state, so the period hot path allocates nothing.
     ///
-    /// Implementations should return at most [`SchedulingContext::inbound_budget`]
+    /// Implementations should emit at most [`SchedulingContext::inbound_budget`]
     /// requests; the transfer layer enforces the budget regardless.
-    fn schedule(&self, ctx: &SchedulingContext) -> Vec<SegmentRequest>;
-
-    /// Allocation-free variant used by the period hot path: writes the
-    /// requests into `out` (cleared first), reusing `scratch` for any
-    /// intermediate state.
-    ///
-    /// The default implementation simply delegates to
-    /// [`schedule`](Self::schedule); performance-sensitive schedulers
-    /// override it to reuse buffers.  Both variants must produce identical
-    /// requests for identical contexts.
     fn schedule_into(
         &self,
         ctx: &SchedulingContext,
         scratch: &mut SchedulerScratch,
         out: &mut Vec<SegmentRequest>,
-    ) {
-        let _ = scratch;
-        out.clear();
-        out.extend(self.schedule(ctx));
-    }
+    );
 }
 
 #[cfg(test)]
@@ -284,12 +271,22 @@ mod tests {
             fn name(&self) -> &'static str {
                 "nothing"
             }
-            fn schedule(&self, _ctx: &SchedulingContext) -> Vec<SegmentRequest> {
-                Vec::new()
+            fn schedule_into(
+                &self,
+                _ctx: &SchedulingContext,
+                _scratch: &mut SchedulerScratch,
+                out: &mut Vec<SegmentRequest>,
+            ) {
+                out.clear();
             }
         }
         let b: Box<dyn SegmentScheduler> = Box::new(Nothing);
         assert_eq!(b.name(), "nothing");
-        assert!(b.schedule(&context()).is_empty());
+        let mut out = vec![SegmentRequest {
+            segment: SegmentId(1),
+            supplier: 0,
+        }];
+        b.schedule_into(&context(), &mut SchedulerScratch::new(), &mut out);
+        assert!(out.is_empty());
     }
 }

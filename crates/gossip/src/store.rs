@@ -254,12 +254,6 @@ impl PeerStore {
         (id >> self.shift, id & (self.shard_size - 1))
     }
 
-    /// The shard index holding `id`.
-    #[inline]
-    pub fn shard_of(&self, id: PeerId) -> usize {
-        (id as usize) >> self.shift
-    }
-
     /// A peer's buffer column entry.
     #[inline]
     pub fn buffer(&self, id: PeerId) -> &FifoBuffer {
@@ -439,8 +433,6 @@ mod tests {
         assert_eq!(store.shards()[0].len(), 4);
         assert_eq!(store.shards()[1].len(), 4);
         assert_eq!(store.shards()[2].len(), 2);
-        assert_eq!(store.shard_of(3), 0);
-        assert_eq!(store.shard_of(4), 1);
         assert_eq!(store.peer(7).id(), 7);
     }
 

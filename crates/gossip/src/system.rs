@@ -1589,7 +1589,7 @@ fn schedule_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{SchedulingContext, SegmentRequest};
+    use crate::scheduler::{SchedulerScratch, SchedulingContext, SegmentRequest};
     use fss_overlay::OverlayBuilder;
     use fss_trace::{GeneratorConfig, TraceGenerator};
 
@@ -1601,14 +1601,19 @@ mod tests {
         fn name(&self) -> &'static str {
             "greedy-oldest"
         }
-        fn schedule(&self, ctx: &SchedulingContext) -> Vec<SegmentRequest> {
+        fn schedule_into(
+            &self,
+            ctx: &SchedulingContext,
+            _scratch: &mut SchedulerScratch,
+            out: &mut Vec<SegmentRequest>,
+        ) {
+            out.clear();
             let mut candidates = ctx.candidates.clone();
             crate::directory::sort_by_id(&mut candidates, |c| c.id);
             let mut load: std::collections::HashMap<fss_overlay::PeerId, usize> =
                 std::collections::HashMap::new();
-            let mut requests = Vec::new();
             for c in candidates {
-                if requests.len() >= ctx.inbound_budget() {
+                if out.len() >= ctx.inbound_budget() {
                     break;
                 }
                 let best = c
@@ -1625,13 +1630,12 @@ mod tests {
                     });
                 if let Some(best) = best {
                     *load.entry(best.peer).or_default() += 1;
-                    requests.push(SegmentRequest {
+                    out.push(SegmentRequest {
                         segment: c.id,
                         supplier: best.peer,
                     });
                 }
             }
-            requests
         }
     }
 
@@ -1683,6 +1687,36 @@ mod tests {
         );
         assert!(sys.report().traffic_total.control_bits > 0);
         assert!(sys.report().traffic_total.data_bits > 0);
+    }
+
+    /// The §5.3 control charge, checked where it is made: one steady
+    /// lockstep period without churn costs exactly `buffermap_bits` per
+    /// overlay neighbour of every peer the scheduling pass visits (all
+    /// active peers).
+    #[test]
+    fn control_bits_are_one_buffer_map_per_neighbour_per_period() {
+        let mut sys = build_system(60, 1);
+        let (source, _) = first_two(&sys);
+        sys.start_initial_source(source);
+        sys.run_periods(20);
+
+        let neighbour_links = |sys: &StreamingSystem| -> u64 {
+            let overlay = sys.overlay();
+            overlay
+                .active_peers()
+                .map(|p| overlay.neighbors(p).len() as u64)
+                .sum()
+        };
+        let links = neighbour_links(&sys);
+        assert!(links > 0);
+        let before = sys.traffic_total().control_bits;
+        sys.advance();
+        assert_eq!(neighbour_links(&sys), links, "no churn: overlay unchanged");
+        assert_eq!(
+            sys.traffic_total().control_bits - before,
+            sys.config().buffermap_bits * links
+        );
+        assert_eq!(sys.config().buffermap_bits, 620);
     }
 
     #[test]
@@ -1773,7 +1807,7 @@ mod tests {
     /// `f64` prints the shortest round-trip form, so it is exact).
     fn digest(report: &SystemReport) -> u64 {
         use std::hash::Hasher;
-        let mut h = crate::hasher::FxHasher64::default();
+        let mut h = fss_sim::hasher::FxHasher64::default();
         h.write(format!("{report:?}").as_bytes());
         h.finish()
     }
@@ -2165,11 +2199,16 @@ mod tests {
         fn name(&self) -> &'static str {
             "faucet"
         }
-        fn schedule(&self, ctx: &SchedulingContext) -> Vec<SegmentRequest> {
+        fn schedule_into(
+            &self,
+            ctx: &SchedulingContext,
+            scratch: &mut SchedulerScratch,
+            out: &mut Vec<SegmentRequest>,
+        ) {
             if self.open.load(std::sync::atomic::Ordering::Relaxed) {
-                GreedyOldest.schedule(ctx)
+                GreedyOldest.schedule_into(ctx, scratch, out);
             } else {
-                Vec::new()
+                out.clear();
             }
         }
     }

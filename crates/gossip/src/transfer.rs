@@ -434,7 +434,7 @@ pub fn regroup_by_dest_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hasher::FxHashSet;
+    use fss_sim::hasher::FxHashSet;
     use std::collections::{BTreeMap, VecDeque};
 
     impl TransferResolver {

@@ -304,7 +304,7 @@ fn match_delim(text: &[u8], open: usize, open_b: u8, close_b: u8) -> Option<usiz
 ///
 /// An occurrence passes only when its generic argument list names an explicit
 /// hasher (a third parameter for `HashMap`, a second for `HashSet`), as
-/// `fss_gossip::hasher::{FxHashMap, FxHashSet}` do.  Everything else —
+/// `fss_sim::hasher::{FxHashMap, FxHashSet}` do.  Everything else —
 /// imports, `::new()`, `::with_capacity()`, two-parameter types — is flagged.
 fn fss001_default_hashers(
     masked: &[u8],
@@ -329,8 +329,7 @@ fn fss001_default_hashers(
                 format!(
                     "default-RandomState `{word}` in library code: iteration order and probe \
                      cost vary per process; use the deterministic \
-                     `fss_gossip::hasher::Fx{word}` (re-exported from `fss_sim::hasher`) \
-                     or waive with a reason in lint.toml"
+                     `fss_sim::hasher::Fx{word}` or waive with a reason in lint.toml"
                 ),
             );
         }

@@ -10,10 +10,9 @@
 
 use crate::sketch::QuantileSketch;
 use crate::summary::Summary;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated admission-pipeline metrics of one multi-channel run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionSummary {
     /// True when a `max_admits_per_period` rate limit was active (the
     /// delay/queue fields are structurally zero otherwise).
@@ -112,16 +111,6 @@ impl AdmissionSummary {
     pub fn requested(&self) -> usize {
         self.admitted + self.still_queued
     }
-
-    /// Fraction of requested arrivals admitted within the horizon (0 when
-    /// nothing was requested).
-    pub fn admission_rate(&self) -> f64 {
-        if self.requested() == 0 {
-            0.0
-        } else {
-            self.admitted as f64 / self.requested() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -141,7 +130,6 @@ mod tests {
         assert!((s.avg_delay_secs - 1.4).abs() < 1e-12);
         assert_eq!(s.max_delay_secs, 4.0);
         assert!(s.p95_delay_secs <= s.max_delay_secs + 1e-12);
-        assert!((s.admission_rate() - 5.0 / 8.0).abs() < 1e-12);
         assert!((s.avg_view_staleness - 1.0).abs() < 1e-12);
     }
 
@@ -153,7 +141,6 @@ mod tests {
         assert_eq!(s.deferred, 0);
         assert_eq!(s.still_queued, 0);
         assert_eq!(s.requested(), 42);
-        assert_eq!(s.admission_rate(), 1.0);
         assert_eq!(s.avg_delay_secs, 0.0);
     }
 
@@ -176,7 +163,6 @@ mod tests {
     fn empty_pipeline() {
         let s = AdmissionSummary::from_parts(true, &[], 0, 0, &[]);
         assert_eq!(s.requested(), 0);
-        assert_eq!(s.admission_rate(), 0.0);
         assert_eq!(s.avg_delay_secs, 0.0);
     }
 }

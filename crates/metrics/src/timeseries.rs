@@ -1,10 +1,9 @@
 //! The ratio tracks of Figures 5 and 9.
 
 use fss_gossip::RatioSample;
-use serde::{Deserialize, Serialize};
 
 /// A cleaned-up ratio track: one row per second since the switch.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RatioTrack {
     rows: Vec<RatioSample>,
 }
@@ -40,23 +39,6 @@ impl RatioTrack {
     /// Linear interpolation of the delivered-`S2` ratio at `secs`.
     pub fn delivered_s2_at(&self, secs: f64) -> f64 {
         self.interpolate(secs, |r| r.delivered_ratio_s2)
-    }
-
-    /// First time at which the delivered-`S2` ratio reaches `threshold`
-    /// (`None` if it never does).
-    pub fn time_to_delivered(&self, threshold: f64) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.delivered_ratio_s2 >= threshold)
-            .map(|r| r.secs)
-    }
-
-    /// First time at which the undelivered-`S1` ratio drops to `threshold`.
-    pub fn time_to_undelivered(&self, threshold: f64) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.undelivered_ratio_s1 <= threshold)
-            .map(|r| r.secs)
     }
 
     fn interpolate(&self, secs: f64, value: impl Fn(&RatioSample) -> f64) -> f64 {
@@ -128,20 +110,9 @@ mod tests {
     }
 
     #[test]
-    fn threshold_crossings() {
-        let t = track();
-        assert_eq!(t.time_to_delivered(1.0), Some(4.0));
-        assert_eq!(t.time_to_delivered(0.35), Some(2.0));
-        assert_eq!(t.time_to_delivered(1.5), None);
-        assert_eq!(t.time_to_undelivered(0.0), Some(4.0));
-        assert_eq!(t.time_to_undelivered(0.65), Some(2.0));
-    }
-
-    #[test]
     fn empty_track() {
         let t = RatioTrack::from_samples(&[]);
         assert!(t.is_empty());
         assert_eq!(t.undelivered_s1_at(1.0), 0.0);
-        assert_eq!(t.time_to_delivered(0.5), None);
     }
 }

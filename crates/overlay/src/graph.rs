@@ -1,7 +1,6 @@
 //! Dynamic undirected overlay graph.
 
 use crate::error::OverlayError;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a peer in the overlay.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 pub type PeerId = u32;
 
 /// An undirected graph with stable peer ids and O(1) membership checks.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OverlayGraph {
     /// `adjacency[p]` lists the active neighbours of peer `p`.
     adjacency: Vec<Vec<PeerId>>,
@@ -94,11 +93,6 @@ impl OverlayGraph {
         self.adjacency[b as usize].push(a);
         self.edge_count += 1;
         Ok(true)
-    }
-
-    /// True when an edge between `a` and `b` exists (both active).
-    pub fn has_edge(&self, a: PeerId, b: PeerId) -> bool {
-        self.is_active(a) && self.is_active(b) && self.adjacency[a as usize].contains(&b)
     }
 
     /// The active neighbours of `peer`.
@@ -184,9 +178,8 @@ mod tests {
         assert!(!g.add_edge(1, 0).unwrap(), "duplicate edge ignored");
         assert!(!g.add_edge(2, 2).unwrap(), "self loop ignored");
         assert_eq!(g.edge_count(), 2);
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(1, 0));
-        assert!(!g.has_edge(0, 2));
+        assert_eq!(g.neighbors(0), &[1]);
+        assert_eq!(g.neighbors(1), &[0, 2]);
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.min_degree(), Some(0));
         assert!((g.average_degree() - 1.0).abs() < 1e-12);

@@ -14,14 +14,13 @@
 //! shard layouts and stepping modes — there is no RNG cursor to perturb.
 
 use crate::graph::PeerId;
-use serde::{Deserialize, Serialize};
 
 /// Knobs of the message-level network model.
 ///
 /// The default ([`NetworkConfig::ideal`]) is the degenerate instance the
 /// period-lockstep mode is equivalent to: zero latency, zero loss, zero
 /// jitter.  Golden-digest tests pin that equivalence byte-for-byte.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
     /// Multiplier applied to the modeled per-link round-trip time from
     /// [`crate::latency::LatencyModel`].  `0.0` delivers instantly; `1.0`
@@ -71,12 +70,6 @@ impl NetworkConfig {
     /// The same configuration with a different fault-stream seed.
     pub fn with_seed(self, seed: u64) -> Self {
         NetworkConfig { seed, ..self }
-    }
-
-    /// True when the configuration cannot delay, drop or reorder anything —
-    /// the instance period-lockstep stepping is equivalent to.
-    pub fn is_ideal(&self) -> bool {
-        self.latency_scale == 0.0 && self.loss_rate == 0.0 && self.jitter_ms == 0
     }
 
     /// Validates the configuration.
@@ -221,7 +214,7 @@ mod tests {
     fn ideal_config_validates_and_is_ideal() {
         let c = NetworkConfig::ideal();
         assert!(c.validate().is_ok());
-        assert!(c.is_ideal());
+        assert_eq!((c.latency_scale, c.loss_rate, c.jitter_ms), (0.0, 0.0, 0));
         assert_eq!(NetworkConfig::default(), c);
     }
 
@@ -229,10 +222,8 @@ mod tests {
     fn constructors_set_the_expected_knob() {
         let lossy = NetworkConfig::lossy(0.1, 7);
         assert_eq!(lossy.loss_rate, 0.1);
-        assert!(!lossy.is_ideal());
         let delayed = NetworkConfig::delayed(4.0, 7);
         assert_eq!(delayed.latency_scale, 4.0);
-        assert!(!delayed.is_ideal());
         assert_eq!(lossy.with_seed(9).seed, 9);
     }
 

@@ -9,7 +9,7 @@
 //!
 //! This lives in `fss-sim` — below every other workspace crate — so that the
 //! whole stack (trace parsing included) can use the same deterministic
-//! collections; `fss_gossip::hasher` re-exports it for the historical path.
+//! collections.
 //! The `fss-lint` rule FSS001 enforces that library code reaches for these
 //! aliases instead of the default-`RandomState` types.
 

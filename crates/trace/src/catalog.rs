@@ -9,10 +9,9 @@
 
 use crate::generator::{GeneratorConfig, TraceGenerator};
 use crate::record::Trace;
-use serde::{Deserialize, Serialize};
 
 /// A named entry of the catalog: enough information to regenerate one trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSpec {
     /// Catalog name, e.g. `"clip2-synth-1000-a"`.
     pub name: String,
@@ -30,7 +29,7 @@ impl TraceSpec {
 }
 
 /// The fixed catalog of 30 synthetic crawl snapshots.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceCatalog {
     specs: Vec<TraceSpec>,
 }
@@ -96,17 +95,6 @@ impl TraceCatalog {
     pub fn by_name(&self, name: &str) -> Option<&TraceSpec> {
         self.specs.iter().find(|s| s.name == name)
     }
-
-    /// All entries with exactly `nodes` peers.
-    pub fn by_size(&self, nodes: usize) -> Vec<&TraceSpec> {
-        self.specs.iter().filter(|s| s.nodes == nodes).collect()
-    }
-
-    /// The first (replica "a") entry of the given size, used as the default
-    /// topology for that scale in the figure harness.
-    pub fn primary_for_size(&self, nodes: usize) -> Option<&TraceSpec> {
-        self.by_size(nodes).into_iter().next()
-    }
 }
 
 impl Default for TraceCatalog {
@@ -151,13 +139,9 @@ mod tests {
         let cat = TraceCatalog::standard();
         let spec = cat.by_name("clip2-synth-1000-a").expect("catalog entry");
         assert_eq!(spec.nodes, 1_000);
-        assert_eq!(cat.by_size(1_000).len(), 5);
-        assert_eq!(cat.by_size(7_777).len(), 0);
-        assert_eq!(
-            cat.primary_for_size(4_000).unwrap().name,
-            "clip2-synth-4000-a"
-        );
-        assert!(cat.primary_for_size(1).is_none());
+        let of_size = |n: usize| cat.specs().iter().filter(|s| s.nodes == n).count();
+        assert_eq!(of_size(1_000), 5);
+        assert_eq!(of_size(7_777), 0);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 
 use fast_source_switching::core::{FastSwitchScheduler, NormalSwitchScheduler};
 use fast_source_switching::gossip::{
-    CandidateSegment, SchedulingContext, SegmentId, SegmentScheduler, SessionView, SourceId,
-    StreamClass, SupplierInfo,
+    CandidateSegment, SchedulerScratch, SchedulingContext, SegmentId, SegmentScheduler,
+    SessionView, SourceId, StreamClass, SupplierInfo,
 };
 
 fn supplier(peer: u32, rate: f64, position: usize) -> SupplierInfo {
@@ -67,7 +67,8 @@ fn main() {
     };
 
     let describe = |name: &str, scheduler: &dyn SegmentScheduler| {
-        let requests = scheduler.schedule(&ctx);
+        let mut requests = Vec::new();
+        scheduler.schedule_into(&ctx, &mut SchedulerScratch::new(), &mut requests);
         let order: Vec<String> = requests
             .iter()
             .map(|r| {

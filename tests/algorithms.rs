@@ -5,7 +5,8 @@ use fast_source_switching::core::{
     allocate_rates, greedy_assign, optimal_assign, AssignmentOrder, SwitchModel,
 };
 use fast_source_switching::gossip::{
-    CandidateSegment, SchedulingContext, SegmentId, SessionView, SourceId, SupplierInfo,
+    CandidateSegment, SchedulerScratch, SchedulingContext, SegmentId, SessionView, SourceId,
+    SupplierInfo,
 };
 use fast_source_switching::prelude::*;
 
@@ -71,9 +72,10 @@ fn fast_scheduler_tracks_the_models_optimal_split() {
     // Over a range of backlogs the per-period split chosen by the fast
     // scheduler stays within one segment of the closed-form r1/r2.
     let scheduler = FastSwitchScheduler::new();
+    let (mut scratch, mut requests) = (SchedulerScratch::new(), Vec::new());
     for q1 in [20u64, 40, 80, 120] {
         let ctx = context(q1, 40, 15.0);
-        let requests = scheduler.schedule(&ctx);
+        scheduler.schedule_into(&ctx, &mut scratch, &mut requests);
         let old = requests
             .iter()
             .filter(|r| r.segment < SegmentId(200))
@@ -91,7 +93,8 @@ fn fast_scheduler_tracks_the_models_optimal_split() {
 fn normal_scheduler_never_requests_new_segments_while_old_ones_remain() {
     let scheduler = NormalSwitchScheduler::new();
     let ctx = context(40, 40, 15.0);
-    let requests = scheduler.schedule(&ctx);
+    let mut requests = Vec::new();
+    scheduler.schedule_into(&ctx, &mut SchedulerScratch::new(), &mut requests);
     assert_eq!(requests.len(), 15);
     assert!(requests.iter().all(|r| r.segment < SegmentId(200)));
 }
